@@ -22,6 +22,8 @@ from .corpus import (
     ParallelCorpus,
     PROFILES,
     Vocabulary,
+    _read_aligned,
+    _read_lines,
     build_vocab,
     decode,
     preprocess,
@@ -39,13 +41,6 @@ EXIT_DIVERGENCE = 4
 RUN_DIR_ENV = "KTRANSFORMER_RUN_DIR"
 
 SVG_PALETTE = ("#4878a8", "#d08770", "#6aa84f", "#b07cc6", "#c9b458", "#bf616a")
-
-
-def _read_lines(path) -> list[str]:
-    try:
-        return Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as e:
-        raise DataError(f"cannot read {path}: {e}") from e
 
 
 def _resolve_out_dir(flag_value: str | None, config_value: str = "") -> Path:
@@ -168,12 +163,7 @@ def cmd_translate(args) -> int:
 
 
 def _aligned_token_pairs(hyp_path, ref_path) -> list[tuple[list[str], list[str]]]:
-    hyp_lines = _read_lines(hyp_path)
-    ref_lines = _read_lines(ref_path)
-    if len(hyp_lines) != len(ref_lines):
-        raise DataError(
-            f"alignment mismatch: {hyp_path} has {len(hyp_lines)} lines, {ref_path} has {len(ref_lines)}"
-        )
+    hyp_lines, ref_lines = _read_aligned(hyp_path, ref_path)
     pairs = []
     for i, (h, r) in enumerate(zip(hyp_lines, ref_lines), start=1):
         ref_tokens = r.split()

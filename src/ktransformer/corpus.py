@@ -185,6 +185,16 @@ def _read_lines(path: str | Path) -> list[str]:
         raise DataError(f"cannot read {path}: {e}") from e
 
 
+def _read_aligned(src_path, tgt_path) -> tuple[list[str], list[str]]:
+    src_lines = _read_lines(src_path)
+    tgt_lines = _read_lines(tgt_path)
+    if len(src_lines) != len(tgt_lines):
+        raise DataError(
+            f"alignment mismatch: {src_path} has {len(src_lines)} lines, {tgt_path} has {len(tgt_lines)}"
+        )
+    return src_lines, tgt_lines
+
+
 @dataclass
 class ParallelCorpus:
     """Aligned source/target token sequences with their language profiles."""
@@ -207,12 +217,7 @@ class ParallelCorpus:
     @classmethod
     def from_raw_files(cls, src_path, tgt_path, profile_src: str, profile_tgt: str) -> "ParallelCorpus":
         """Load and preprocess two aligned one-sentence-per-line text files."""
-        src_lines = _read_lines(src_path)
-        tgt_lines = _read_lines(tgt_path)
-        if len(src_lines) != len(tgt_lines):
-            raise DataError(
-                f"alignment mismatch: {src_path} has {len(src_lines)} lines, {tgt_path} has {len(tgt_lines)}"
-            )
+        src_lines, tgt_lines = _read_aligned(src_path, tgt_path)
         return cls(
             src=[preprocess(l, profile_src) for l in src_lines],
             tgt=[preprocess(l, profile_tgt) for l in tgt_lines],
@@ -223,12 +228,7 @@ class ParallelCorpus:
     @classmethod
     def from_token_files(cls, src_path, tgt_path, profile_src="space_tokenized", profile_tgt="space_tokenized") -> "ParallelCorpus":
         """Load already-tokenized files (tokens separated by spaces)."""
-        src_lines = _read_lines(src_path)
-        tgt_lines = _read_lines(tgt_path)
-        if len(src_lines) != len(tgt_lines):
-            raise DataError(
-                f"alignment mismatch: {src_path} has {len(src_lines)} lines, {tgt_path} has {len(tgt_lines)}"
-            )
+        src_lines, tgt_lines = _read_aligned(src_path, tgt_path)
         return cls(
             src=[l.split() for l in src_lines],
             tgt=[l.split() for l in tgt_lines],

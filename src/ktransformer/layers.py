@@ -16,14 +16,15 @@ import numpy as np
 from .tensor import (
     Tensor,
     add,
-    concat_cols,
     layernorm_rows,
     masked_fill,
     matmul,
+    merge_heads,
     mul,
     relu,
     scale,
     softmax_rows,
+    stack,
     transpose,
 )
 
@@ -91,21 +92,21 @@ def scaled_dot_attention(
     bias: Tensor | None = None,
     keep: np.ndarray | None = None,
 ) -> tuple[Tensor, Tensor]:
-    """softmax(Q K^T / sqrt(d_k) + bias) V for one head.
+    """softmax(Q K^T / sqrt(d_k) + bias) V for one head, or for every head of
+    (heads, n, d) stacks at once.
 
     Returns (output, attention weights). ``bias`` is an optional additive
-    tensor applied to the scaled scores before masking. ``keep`` is an
-    optional (n_q, n_k) boolean array; False entries are excluded from the
-    softmax. A query row with no kept key is an error rather than a silent
-    uniform distribution.
+    tensor of the scores' shape, applied to the scaled scores before
+    masking. ``keep`` is an optional (n_q, n_k) boolean array shared by all
+    heads; False entries are excluded from the softmax. A query row with no
+    kept key is an error rather than a silent uniform distribution.
     """
-    if q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2:
-        raise ValueError("attention operands must be 2-D")
-    if q.data.shape[1] != k.data.shape[1] or k.data.shape[0] != v.data.shape[0]:
-        raise ValueError(
-            f"attention shape mismatch: q {q.data.shape}, k {k.data.shape}, v {v.data.shape}"
-        )
-    d_k = q.data.shape[1]
+    qs, ks, vs = q.data.shape, k.data.shape, v.data.shape
+    if len(qs) not in (2, 3) or len(ks) != len(qs) or len(vs) != len(qs):
+        raise ValueError(f"attention operands must be 2-D or 3-D alike, got {qs}, {ks}, {vs}")
+    if qs[:-2] != ks[:-2] or ks[:-2] != vs[:-2] or qs[-1] != ks[-1] or ks[-2] != vs[-2]:
+        raise ValueError(f"attention shape mismatch: q {qs}, k {ks}, v {vs}")
+    d_k = qs[-1]
     scores = scale(matmul(q, transpose(k)), 1.0 / math.sqrt(d_k))
     if bias is not None:
         if bias.data.shape != scores.data.shape:
@@ -113,7 +114,7 @@ def scaled_dot_attention(
         scores = add(scores, bias)
     if keep is not None:
         keep = np.asarray(keep, dtype=bool)
-        if not keep.any(axis=1).all():
+        if not keep.any(axis=-1).all():
             raise ValueError("attention row with every key masked out")
         scores = masked_fill(scores, keep, NEG_INF)
     weights = softmax_rows(scores)
@@ -156,28 +157,24 @@ def multi_head_attention(
     k_in: Tensor,
     v_in: Tensor,
     mha: MultiHeadAttention,
-    per_head_bias: Sequence[Tensor | None] | None = None,
+    per_head_bias: Sequence[Tensor] | None = None,
     keep: np.ndarray | None = None,
 ) -> Tensor:
     """Concat_i head_i(Q W_i^Q, K W_i^K, V W_i^V) projected by W^O.
 
-    ``per_head_bias`` optionally supplies one additive score bias per head
-    (entries may be None); this is the hook the clustering signal plugs into.
+    Each head's projections run in head order (q, k, v), then all heads
+    share one stacked attention chain; the tape therefore sums gradients in
+    the same order as a per-head loop would, and every float matches it.
+    ``per_head_bias`` optionally supplies one additive (n_q, n_k) score bias
+    per head; this is the hook the clustering signal plugs into.
     """
     if per_head_bias is not None and len(per_head_bias) != mha.n_heads:
         raise ValueError(f"expected {mha.n_heads} per-head biases, got {len(per_head_bias)}")
-    outs = []
-    for i, h in enumerate(mha.heads):
-        bias = per_head_bias[i] if per_head_bias is not None else None
-        out, _ = scaled_dot_attention(
-            matmul(q_in, h.wq),
-            matmul(k_in, h.wk),
-            matmul(v_in, h.wv),
-            bias=bias,
-            keep=keep,
-        )
-        outs.append(out)
-    return matmul(concat_cols(outs), mha.wo)
+    projected = [(matmul(q_in, h.wq), matmul(k_in, h.wk), matmul(v_in, h.wv)) for h in mha.heads]
+    q, k, v = (stack(parts) for parts in zip(*projected))
+    bias = stack(per_head_bias) if per_head_bias is not None else None
+    out, _ = scaled_dot_attention(q, k, v, bias=bias, keep=keep)
+    return matmul(merge_heads(out), mha.wo)
 
 
 class FeedForward:

@@ -1,10 +1,12 @@
 """Dense float tensors with reverse-mode autodiff on an explicit gradient tape.
 
-Everything is numpy-backed and deliberately small: 1-D/2-D/scalar arrays and
-just enough operations for an encoder-decoder attention stack and its
-training loop (matmul, row softmax, layer norm, embedding lookup, masked
-cross-entropy). Default element type is float32; gradient checking runs in
-float64.
+Everything is numpy-backed and deliberately small: scalar, 1-D and 2-D arrays,
+plus (heads, rows, cols) stacks for attention, and just enough operations for
+an encoder-decoder attention stack and its training loop (matmul, row
+softmax, layer norm, embedding lookup, masked cross-entropy). ``matmul``,
+``transpose``, ``softmax_rows`` and ``masked_fill`` act on each head of a
+stack exactly as on a lone 2-D matrix, so stacking heads never changes a
+float. Default element type is float32; gradient checking runs in float64.
 
 Gradient arrays produced by ``backward`` are shared between tensors and must
 be treated as immutable; replace ``t.grad`` instead of mutating it in place.
@@ -12,8 +14,6 @@ be treated as immutable; replace ``t.grad`` instead of mutating it in place.
 
 from __future__ import annotations
 
-import math
-import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,20 +31,6 @@ def dtype_of(precision: str) -> np.dtype:
         return _PRECISIONS[precision]
     except KeyError:
         raise ValueError(f"unknown precision {precision!r}; expected one of {sorted(_PRECISIONS)}") from None
-
-
-_finite_checks = False
-
-
-def set_finite_checks(enabled: bool) -> None:
-    """Toggle debug-mode NaN/Inf detection on every tensor creation."""
-    global _finite_checks
-    _finite_checks = bool(enabled)
-
-
-def _maybe_check_finite(arr: np.ndarray) -> None:
-    if _finite_checks and not np.all(np.isfinite(arr)):
-        raise FloatingPointError("non-finite values in tensor")
 
 
 class Tensor:
@@ -65,7 +51,6 @@ class Tensor:
         arr = np.array(data, dtype=dtype)
         if arr.dtype not in _SUPPORTED:
             arr = arr.astype(np.float32)
-        _maybe_check_finite(arr)
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
@@ -89,24 +74,10 @@ def _wrap(arr: np.ndarray) -> Tensor:
     t.data = arr
     t.requires_grad = False
     t.grad = None
-    _maybe_check_finite(arr)
     return t
 
 
-_tls = threading.local()
-
-
-def _tape_stack() -> list["GradientTape"]:
-    stack = getattr(_tls, "stack", None)
-    if stack is None:
-        stack = []
-        _tls.stack = stack
-    return stack
-
-
-def _active_tape() -> "GradientTape | None":
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+_tape_stack: list["GradientTape"] = []
 
 
 class GradientTape:
@@ -124,14 +95,13 @@ class GradientTape:
         self._used = False
 
     def __enter__(self) -> "GradientTape":
-        _tape_stack().append(self)
+        _tape_stack.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        stack = _tape_stack()
-        if not stack or stack[-1] is not self:
+        if not _tape_stack or _tape_stack[-1] is not self:
             raise RuntimeError("gradient tape stack corrupted")
-        stack.pop()
+        _tape_stack.pop()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -144,10 +114,9 @@ class GradientTape:
 def _emit(inputs: tuple[Tensor, ...], arr: np.ndarray, rule: Callable) -> Tensor:
     """Wrap an op result, recording it on the active tape when grads flow."""
     out = _wrap(arr)
-    tape = _active_tape()
-    if tape is not None and any(t.requires_grad for t in inputs):
+    if _tape_stack and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        tape._record(inputs, out, rule)
+        _tape_stack[-1]._record(inputs, out, rule)
     return out
 
 
@@ -195,27 +164,39 @@ def _is_scalar_shape(shape: tuple[int, ...]) -> bool:
     return shape == () or shape == (1,)
 
 
+def _check_matrix_or_stack(x: Tensor, op: str) -> None:
+    if x.data.ndim not in (2, 3):
+        raise ValueError(f"{op} expects a 2-D tensor or a (heads, rows, cols) stack, got shape {x.data.shape}")
+
+
+def _swap_last(a: np.ndarray) -> np.ndarray:
+    # a transposed view of every matrix in a stack (plain .T for 2-D)
+    return np.swapaxes(a, -1, -2)
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two 2-D tensors."""
+    """Matrix product of two 2-D tensors, or head by head of two stacks with
+    the same leading head axis."""
     _check_same_dtype(a, b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {a.data.shape} x {b.data.shape}")
+    ash, bsh = a.data.shape, b.data.shape
+    if len(ash) not in (2, 3) or len(ash) != len(bsh) or ash[:-2] != bsh[:-2] or ash[-1] != bsh[-2]:
+        raise ValueError(f"matmul shape mismatch: {ash} x {bsh}")
     ad, bd = a.data, b.data
 
     def rule(g):
-        return g @ bd.T, ad.T @ g
+        return g @ _swap_last(bd), _swap_last(ad) @ g
 
     return _emit((a, b), ad @ bd, rule)
 
 
 def transpose(x: Tensor) -> Tensor:
-    if x.data.ndim != 2:
-        raise ValueError(f"transpose expects a 2-D tensor, got shape {x.data.shape}")
+    """Matrix transpose, applied to each head of a stack."""
+    _check_matrix_or_stack(x, "transpose")
 
     def rule(g):
-        return (g.T,)
+        return (_swap_last(g),)
 
-    return _emit((x,), x.data.T.copy(), rule)
+    return _emit((x,), _swap_last(x.data).copy(), rule)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -262,10 +243,6 @@ def scale(x: Tensor, c: float) -> Tensor:
     return _emit((x,), x.data * cv, rule)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    return add(a, scale(b, -1.0))
-
-
 def relu(x: Tensor) -> Tensor:
     """Elementwise max(0, x); the subgradient at exactly 0 is 0."""
     mask = x.data > 0
@@ -277,15 +254,15 @@ def relu(x: Tensor) -> Tensor:
 
 
 def softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise softmax of a 2-D tensor, stabilized by row-max subtraction."""
-    if x.data.ndim != 2:
-        raise ValueError(f"softmax_rows expects a 2-D tensor, got shape {x.data.shape}")
+    """Row-wise softmax of a 2-D tensor or of each head of a stack,
+    stabilized by row-max subtraction."""
+    _check_matrix_or_stack(x, "softmax_rows")
     z = x.data
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    s = e / e.sum(axis=1, keepdims=True)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    s = e / e.sum(axis=-1, keepdims=True)
 
     def rule(g):
-        return (s * (g - (g * s).sum(axis=1, keepdims=True)),)
+        return (s * (g - (g * s).sum(axis=-1, keepdims=True)),)
 
     return _emit((x,), s, rule)
 
@@ -300,23 +277,33 @@ def sum_all(x: Tensor) -> Tensor:
     return _emit((x,), x.data.sum(), rule)
 
 
-def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenate 2-D tensors along the feature (column) axis."""
+def stack(parts: Sequence[Tensor]) -> Tensor:
+    """Stack equal-shape 2-D tensors along a new leading (head) axis."""
     parts = tuple(parts)
     if not parts:
-        raise ValueError("concat_cols needs at least one tensor")
+        raise ValueError("stack needs at least one tensor")
     _check_same_dtype(*parts)
-    rows = parts[0].data.shape[0]
-    for p in parts:
-        if p.data.ndim != 2 or p.data.shape[0] != rows:
-            raise ValueError(f"concat_cols row mismatch: {[p.data.shape for p in parts]}")
-    widths = [p.data.shape[1] for p in parts]
-    splits = np.cumsum(widths)[:-1]
+    shape = parts[0].data.shape
+    if len(shape) != 2 or any(p.data.shape != shape for p in parts):
+        raise ValueError(f"stack needs equal 2-D shapes, got {[p.data.shape for p in parts]}")
 
     def rule(g):
-        return tuple(np.ascontiguousarray(piece) for piece in np.split(g, splits, axis=1))
+        return tuple(g)
 
-    return _emit(parts, np.concatenate([p.data for p in parts], axis=1), rule)
+    return _emit(parts, np.stack([p.data for p in parts]), rule)
+
+
+def merge_heads(x: Tensor) -> Tensor:
+    """(heads, rows, width) -> (rows, heads * width): head i's matrix becomes
+    columns i*width .. (i+1)*width - 1, as in the multi-head concatenation."""
+    if x.data.ndim != 3:
+        raise ValueError(f"merge_heads expects a (heads, rows, width) stack, got shape {x.data.shape}")
+    h, n, w = x.data.shape
+
+    def rule(g):
+        return (np.ascontiguousarray(g.reshape(n, h, w).transpose(1, 0, 2)),)
+
+    return _emit((x,), x.data.transpose(1, 0, 2).reshape(n, h * w), rule)
 
 
 def pick_rows(table: Tensor, ids) -> Tensor:
@@ -337,9 +324,10 @@ def pick_rows(table: Tensor, ids) -> Tensor:
 
 
 def masked_fill(x: Tensor, keep, fill: float) -> Tensor:
-    """Replace positions where ``keep`` is False with ``fill`` (e.g. -inf)."""
+    """Replace positions where ``keep`` is False with ``fill`` (e.g. -inf).
+    A 2-D ``keep`` applies to every head of a (heads, rows, cols) stack."""
     keep = np.asarray(keep, dtype=bool)
-    if keep.shape != x.data.shape:
+    if keep.shape != x.data.shape and not (x.data.ndim == 3 and keep.shape == x.data.shape[1:]):
         raise ValueError(f"mask shape {keep.shape} does not match tensor shape {x.data.shape}")
 
     def rule(g):

@@ -235,6 +235,72 @@ def test_single_head_with_identity_weights_reduces_to_plain_attention():
     assert np.allclose(out.data, ref.data, atol=1e-12)
 
 
+def _concat_cols_reference(parts):
+    """Column concatenation recorded on the tape, as the per-head loop did it."""
+    splits = np.cumsum([p.data.shape[1] for p in parts])[:-1]
+
+    def rule(g):
+        return tuple(np.ascontiguousarray(piece) for piece in np.split(g, splits, axis=1))
+
+    return T._emit(tuple(parts), np.concatenate([p.data for p in parts], axis=1), rule)
+
+
+def _per_head_reference(q_in, k_in, v_in, mha, per_head_bias, keep):
+    """One 2-D attention chain per head, then concatenation and W^O."""
+    outs = []
+    for i, h in enumerate(mha.heads):
+        q, k, v = T.matmul(q_in, h.wq), T.matmul(k_in, h.wk), T.matmul(v_in, h.wv)
+        scores = T.scale(T.matmul(q, T.transpose(k)), 1.0 / np.sqrt(mha.d_k))
+        if per_head_bias is not None:
+            scores = T.add(scores, per_head_bias[i])
+        if keep is not None:
+            scores = T.masked_fill(scores, keep, float("-inf"))
+        outs.append(T.matmul(T.softmax_rows(scores), v))
+    return T.matmul(_concat_cols_reference(outs), mha.wo)
+
+
+@pytest.mark.parametrize(
+    "n_heads, n_q, n_k, cross, with_bias, causal",
+    [
+        (1, 5, 5, False, False, False),
+        (4, 5, 5, False, True, False),
+        (4, 6, 6, False, False, True),
+        (4, 3, 7, True, False, False),
+        (1, 4, 4, False, True, True),
+    ],
+)
+def test_multi_head_matches_per_head_reference_bytewise(n_heads, n_q, n_k, cross, with_bias, causal):
+    rng = np.random.default_rng(20 + n_heads)
+    mha = MultiHeadAttention(rng, d_model=8, n_heads=n_heads, dtype=np.float64)
+    x_leaf = Tensor(rng.normal(size=(n_q, 8)), requires_grad=True, dtype=np.float64)
+    mem_leaf = Tensor(rng.normal(size=(n_k, 8)), requires_grad=True, dtype=np.float64)
+    biases = None
+    if with_bias:
+        biases = [Tensor(rng.normal(size=(n_q, n_k)), requires_grad=True, dtype=np.float64) for _ in range(n_heads)]
+    keep = np.tril(np.ones((n_q, n_k), dtype=bool)) if causal else None
+    c = t64(rng.normal(size=(n_q, 8)))
+    leaves = [x_leaf, mem_leaf, *mha.params().values(), *(biases or [])]
+
+    def run(attend):
+        for t in leaves:
+            t.grad = None
+        with GradientTape() as tape:
+            # non-leaf inputs, so fan-in sums happen on the tape, in tape order
+            x = T.scale(x_leaf, 1.0)
+            mem = T.scale(mem_leaf, 1.0) if cross else x
+            out = attend(x, mem, mem, mha, biases, keep)
+            # the residual also reads x, as in the encoder and decoder layers
+            loss = T.sum_all(T.mul(T.add(x, out), c))
+        backward(loss, tape)
+        return out.data.tobytes(), [t.grad.tobytes() if t.grad is not None else None for t in leaves]
+
+    want_out, want_grads = run(_per_head_reference)
+    got_out, got_grads = run(multi_head_attention)
+    assert got_out == want_out
+    assert (got_grads[1] is not None) == cross
+    assert got_grads == want_grads
+
+
 # ------------------------------------------------------------ feed-forward
 
 

@@ -44,11 +44,22 @@ def test_matmul_matches_triple_loop_oracle():
         b = rng.normal(size=(4, 5))
         got = T.matmul(Tensor(a, dtype=np.float64), Tensor(b, dtype=np.float64)).data
         assert np.allclose(got, slow_matmul(a, b), rtol=0, atol=1e-12)
+    # (heads, rows, cols) stacks multiply head by head
+    a = rng.normal(size=(3, 2, 4))
+    b = rng.normal(size=(3, 4, 5))
+    got = T.matmul(Tensor(a, dtype=np.float64), Tensor(b, dtype=np.float64)).data
+    assert got.shape == (3, 2, 5)
+    for h in range(3):
+        assert np.allclose(got[h], slow_matmul(a[h], b[h]), rtol=0, atol=1e-12)
 
 
 def test_matmul_shape_mismatch():
     with pytest.raises(ValueError):
         T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
+    with pytest.raises(ValueError):
+        T.matmul(Tensor(np.zeros((2, 2, 3))), Tensor(np.zeros((3, 3, 4))))
+    with pytest.raises(ValueError):
+        T.matmul(Tensor(np.zeros((2, 2, 3))), Tensor(np.zeros((3, 4))))
 
 
 def test_softmax_hand_case():
@@ -64,8 +75,9 @@ def test_softmax_large_logits_stable():
 
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(3)
-    out = T.softmax_rows(Tensor(rng.normal(size=(6, 9)), dtype=np.float64))
-    assert np.allclose(out.data.sum(axis=1), 1.0, atol=1e-12)
+    for shape in ((6, 9), (3, 6, 9)):
+        out = T.softmax_rows(Tensor(rng.normal(size=shape), dtype=np.float64))
+        assert np.allclose(out.data.sum(axis=-1), 1.0, atol=1e-12)
 
 
 def test_relu_forward():
@@ -99,6 +111,12 @@ def test_masked_fill_values():
     keep = np.array([[True, False], [False, True]])
     out = T.masked_fill(x, keep, -50.0)
     assert np.array_equal(out.data, [[1.0, -50.0], [-50.0, 4.0]])
+    # a (rows, cols) mask is shared by every head of a stack
+    stacked = Tensor(np.arange(8, dtype=np.float64).reshape(2, 2, 2))
+    out = T.masked_fill(stacked, keep, -50.0)
+    assert np.array_equal(out.data, [[[0.0, -50.0], [-50.0, 3.0]], [[4.0, -50.0], [-50.0, 7.0]]])
+    with pytest.raises(ValueError):
+        T.masked_fill(stacked, np.ones((2, 3), dtype=bool), -50.0)
 
 
 def test_layernorm_hand_case():
@@ -118,12 +136,25 @@ def test_layernorm_constant_row_maps_to_shift():
     assert np.allclose(out.data, 0.5, atol=1e-12)
 
 
-def test_concat_cols_values():
-    a = Tensor(np.ones((2, 2)))
+def test_stack_values():
+    a = Tensor(np.ones((2, 3)))
     b = Tensor(np.zeros((2, 3)))
-    out = T.concat_cols([a, b])
-    assert out.data.shape == (2, 5)
-    assert np.array_equal(out.data[:, :2], np.ones((2, 2), dtype=np.float32))
+    out = T.stack([a, b])
+    assert out.data.shape == (2, 2, 3)
+    assert np.array_equal(out.data[0], a.data) and np.array_equal(out.data[1], b.data)
+    with pytest.raises(ValueError):
+        T.stack([a, Tensor(np.zeros((2, 2)))])
+
+
+def test_merge_heads_places_head_i_in_column_block_i():
+    x = np.arange(12, dtype=np.float64).reshape(3, 2, 2)  # 3 heads, 2 rows, width 2
+    out = T.merge_heads(Tensor(x))
+    assert out.data.shape == (2, 6)
+    # oracle: row r is head 0's row r, then head 1's, then head 2's
+    for r in range(2):
+        assert list(out.data[r]) == [float(v) for h in range(3) for v in x[h, r]]
+    with pytest.raises(ValueError):
+        T.merge_heads(Tensor(np.zeros((2, 3))))
 
 
 def test_dtype_mixing_rejected():
@@ -194,17 +225,15 @@ def test_grad_transpose_and_scale():
         y = T.sum_all(T.scale(T.transpose(x), 3.0))
     backward(y, tape)
     assert np.array_equal(x.grad, np.full((2, 2), 3.0))
-
-
-def test_grad_concat_cols_splits():
-    a = leaf(np.zeros((2, 2)))
-    b = leaf(np.zeros((2, 1)))
-    c = Tensor(np.array([[1.0, 2.0, 3.0]] * 2), dtype=np.float64)
+    # on a stack, each head is transposed and so is each head's gradient
+    x = leaf(np.arange(12, dtype=np.float64).reshape(2, 2, 3))
+    c = Tensor(np.arange(12, dtype=np.float64).reshape(2, 3, 2))
     with GradientTape() as tape:
-        y = T.sum_all(T.mul(T.concat_cols([a, b]), c))
+        out = T.transpose(x)
+        y = T.sum_all(T.mul(out, c))
     backward(y, tape)
-    assert np.array_equal(a.grad, [[1.0, 2.0], [1.0, 2.0]])
-    assert np.array_equal(b.grad, [[3.0], [3.0]])
+    assert np.array_equal(out.data, np.swapaxes(x.data, 1, 2))
+    assert np.array_equal(x.grad, np.swapaxes(c.data, 1, 2))
 
 
 # finite differences; functions chosen so the scalar output actually moves
@@ -220,6 +249,12 @@ def test_fd_matmul_chain():
     rng = np.random.default_rng(0)
     w = Tensor(rng.normal(size=(4, 3)), dtype=np.float64)
     fd(lambda t: T.sum_all(T.mul(T.matmul(t, w), T.matmul(t, w))), rng.normal(size=(2, 4)))
+    # (heads, rows, cols) stacks: gradients reach both operands head by head
+    a = rng.normal(size=(2, 3, 4))
+    b = rng.normal(size=(2, 4, 2))
+    c = Tensor(rng.normal(size=(2, 3, 2)), dtype=np.float64)
+    fd(lambda t: T.sum_all(T.mul(T.matmul(t, Tensor(b, dtype=np.float64)), c)), a)
+    fd(lambda t: T.sum_all(T.mul(T.matmul(Tensor(a, dtype=np.float64), t), c)), b)
 
 
 def test_fd_relu_chain():
@@ -234,15 +269,35 @@ def test_fd_softmax_weighted():
     fd(lambda t: T.sum_all(T.mul(T.softmax_rows(t), c)), rng.normal(size=(3, 4)))
 
 
+def test_fd_stack_each_part():
+    rng = np.random.default_rng(7)
+    parts = [rng.normal(size=(2, 3)) for _ in range(3)]
+    c = Tensor(rng.normal(size=(3, 2, 3)), dtype=np.float64)
+    for i in range(3):
+
+        def f(t, i=i):
+            ts = [t if j == i else Tensor(p, dtype=np.float64) for j, p in enumerate(parts)]
+            return T.sum_all(T.mul(T.stack(ts), c))
+
+        fd(f, parts[i])
+
+
+def test_fd_merge_heads():
+    rng = np.random.default_rng(8)
+    c = Tensor(rng.normal(size=(2, 6)), dtype=np.float64)
+    fd(lambda t: T.sum_all(T.mul(T.merge_heads(t), c)), rng.normal(size=(3, 2, 2)))
+
+
 def test_fd_masked_softmax():
     rng = np.random.default_rng(3)
     keep = np.array([[True, True, False, True]] * 2)
-    c = Tensor(rng.normal(size=(2, 4)), dtype=np.float64)
+    for heads in ((), (3,)):
+        c = Tensor(rng.normal(size=heads + (2, 4)), dtype=np.float64)
 
-    def f(t):
-        return T.sum_all(T.mul(T.softmax_rows(T.masked_fill(t, keep, float("-inf"))), c))
+        def f(t):
+            return T.sum_all(T.mul(T.softmax_rows(T.masked_fill(t, keep, float("-inf"))), c))
 
-    fd(f, rng.normal(size=(2, 4)))
+        fd(f, rng.normal(size=heads + (2, 4)))
 
 
 def test_fd_layernorm_all_three_inputs():
@@ -382,19 +437,6 @@ def test_shared_node_fans_in():
 
     err = T.finite_diff_check(f, Tensor(rng.normal(size=(2, 3)), dtype=np.float64))
     assert err < 1e-6
-
-
-def test_finite_checks_flag():
-    with np.errstate(over="ignore"):
-        T.set_finite_checks(True)
-        try:
-            big = Tensor(np.array([[1e308]]), dtype=np.float64)
-            with pytest.raises(FloatingPointError):
-                T.mul(big, big)
-        finally:
-            T.set_finite_checks(False)
-        out = T.mul(big, big)  # disabled again: overflows to inf silently
-    assert np.isinf(out.data[0, 0])
 
 
 def test_default_dtype_is_f32():
