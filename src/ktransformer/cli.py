@@ -148,15 +148,12 @@ def cmd_translate(args) -> int:
     model = loaded.model
     profile = loaded.profile_src or "space_tokenized"
     lines = _read_lines(args.input)
-    out_lines: list[str] = []
-    for line in lines:
-        tokens = preprocess(line, profile)[: model.config.max_len]
-        if not tokens:
-            out_lines.append("")
-            continue
-        ids = [loaded.vocab_src.id_of(t) for t in tokens]
-        out_ids = model.greedy_translate(ids, max_out_len=args.max_out_len)
-        out_lines.append(" ".join(decode(out_ids, loaded.vocab_tgt)))
+    tokenized = [preprocess(line, profile)[: model.config.max_len] for line in lines]
+    todo = [i for i, tokens in enumerate(tokenized) if tokens]
+    sources = [[loaded.vocab_src.id_of(t) for t in tokenized[i]] for i in todo]
+    out_lines = [""] * len(lines)
+    for i, out_ids in zip(todo, model.greedy_translate_batch(sources, max_out_len=args.max_out_len)):
+        out_lines[i] = " ".join(decode(out_ids, loaded.vocab_tgt))
     Path(args.output).write_text("".join(l + "\n" for l in out_lines), encoding="utf-8")
     print(f"translated {len(lines)} lines -> {args.output}")
     return EXIT_OK

@@ -1,5 +1,5 @@
 """Run configuration: a flat, typed ``key = value`` text format covering
-model hyperparameters, training schedule, vocabulary policy, and file paths.
+model hyperparameters, training schedule, corpus profiles, and file paths.
 
 Every key has a default; unknown keys are a hard error so typos cannot
 silently fall back to defaults. ``serialize`` and ``parse_text`` round-trip,
@@ -43,9 +43,6 @@ class RunConfig:
     val_fraction: float = 0.1
     grad_clip: float = 1.0
     seed: int = 0
-    # vocabulary policy
-    vocab_max_size: int = 8000
-    vocab_min_freq: int = 1
     # corpus profiles
     profile_src: str = "space_tokenized"
     profile_tgt: str = "space_tokenized"

@@ -97,9 +97,10 @@ def scaled_dot_attention(
 
     Returns (output, attention weights). ``bias`` is an optional additive
     tensor of the scores' shape, applied to the scaled scores before
-    masking. ``keep`` is an optional (n_q, n_k) boolean array shared by all
-    heads; False entries are excluded from the softmax. A query row with no
-    kept key is an error rather than a silent uniform distribution.
+    masking. ``keep`` is an optional boolean array, either (n_q, n_k) shared
+    by all heads or of the scores' full shape; False entries are excluded
+    from the softmax. A query row with no kept key is an error rather than a
+    silent uniform distribution.
     """
     qs, ks, vs = q.data.shape, k.data.shape, v.data.shape
     if len(qs) not in (2, 3) or len(ks) != len(qs) or len(vs) != len(qs):

@@ -9,9 +9,13 @@ learnable per-head scalars that start at zero, so a freshly built model is
 exactly a vanilla Transformer. Assignments and centroids are constants of
 the forward pass; gradients reach only the gate scalars.
 
-All sequence operations here are per sentence: ids are 1-D, activations are
-(length, d_model). Padded rows from a batch are accepted alongside a boolean
-mask marking the real prefix.
+Encoding and teacher-forced decoding run per sentence: ids are 1-D,
+activations are (length, d_model), and padded rows from a batch are accepted
+alongside a boolean mask marking the real prefix. Greedy decoding runs many
+encoded sentences in lockstep through ``IncrementalDecoder``: one new
+(batch, d_model) row per step, with each layer's self-attention keys and
+values cached and the encoder memories' cross-attention keys and values
+projected once.
 """
 
 from __future__ import annotations
@@ -32,10 +36,15 @@ from .layers import (
     multi_head_attention,
     positional_encoding,
     residual_layernorm,
+    scaled_dot_attention,
 )
-from .tensor import Tensor, add, dtype_of, masked_cross_entropy, matmul, mul, pick_rows
+from .tensor import Tensor, add, dtype_of, masked_cross_entropy, matmul, merge_heads, mul, pick_rows, stack
 
 CLUSTER_MODES = ("off", "same_cluster", "centroid_affinity", "both")
+
+# Greedy decoding runs sentences in lockstep batches of at most this many,
+# taken in order of source length so each batch's sentences end together.
+DECODE_BATCH = 64
 
 
 @dataclass
@@ -357,23 +366,123 @@ class KTransformer:
         return loss(logits, target)
 
     def greedy_translate(self, src_ids, src_mask=None, max_out_len: int | None = None) -> list[int]:
-        """Deterministic greedy decoding: argmax token by token from <BOS>
-        until <EOS> or the length cap; returns target ids without specials.
-        Argmax ties resolve to the lowest token id."""
+        """Greedy decoding of one sentence; see ``greedy_translate_batch``."""
+        return self.greedy_translate_batch([src_ids], None if src_mask is None else [src_mask], max_out_len)[0]
+
+    def greedy_translate_batch(self, sources, src_masks=None, max_out_len: int | None = None) -> list[list[int]]:
+        """Deterministic greedy decoding of every source sentence: argmax
+        token by token from <BOS> until <EOS> or the length cap (max_len by
+        default). Returns each sentence's emitted ids in input order; the
+        final <EOS> is stripped, any other reserved id is kept as emitted.
+        Argmax ties resolve to the lowest token id.
+
+        Each sentence is encoded on its own; decoding then runs in
+        length-sorted lockstep batches of up to ``DECODE_BATCH``. Decoding
+        past max_len + 1 decoder positions raises ValueError.
+        """
         cap = self.config.max_len if max_out_len is None else max_out_len
         if cap < 0:
             raise ValueError(f"max_out_len must be nonnegative, got {cap}")
-        memory, _ = self.encode(src_ids, src_mask, training=False)
-        smask = None if src_mask is None else np.asarray(src_mask, dtype=bool)
-        out: list[int] = []
-        for _ in range(cap):
-            dec_in = np.array([BOS_ID] + out, dtype=np.int64)
-            logits = self.decode_forward(dec_in, memory, src_mask=smask, training=False)
-            next_id = int(np.argmax(logits.data[-1]))
-            if next_id == EOS_ID:
-                break
-            out.append(next_id)
+        masks = [None] * len(sources) if src_masks is None else list(src_masks)
+        if len(masks) != len(sources):
+            raise ValueError(f"{len(masks)} source masks for {len(sources)} sources")
+        encoded = []
+        for ids, mask in zip(sources, masks):
+            memory, _ = self.encode(ids, mask)
+            n = memory.data.shape[0]
+            encoded.append((memory, np.ones(n, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)))
+        order = sorted(range(len(encoded)), key=lambda i: int(encoded[i][1].sum()))
+        out: list[list[int]] = [[] for _ in encoded]
+        for start in range(0, len(order), DECODE_BATCH):
+            chunk = order[start : start + DECODE_BATCH]
+            decoder = IncrementalDecoder(self, [encoded[i][0] for i in chunk], [encoded[i][1] for i in chunk])
+            active = np.array(chunk)
+            ids = np.full(len(chunk), BOS_ID, dtype=np.int64)
+            for _ in range(cap):
+                ids = np.argmax(decoder.step(ids), axis=1)
+                going = ids != EOS_ID
+                for i, t in zip(active[going], ids[going]):
+                    out[i].append(int(t))
+                if not going.all():
+                    active, ids = active[going], ids[going]
+                    if active.size == 0:
+                        break
+                    decoder.keep_rows(np.flatnonzero(going))
         return out
+
+
+class IncrementalDecoder:
+    """Cached decoder state for a batch of encoded sentences in lockstep.
+
+    ``step`` feeds one new target token per sentence, (batch,) ids at the
+    next position, and returns the (batch, vocab_tgt) logits for it: each
+    decoder layer projects only the new rows, appends their keys and values
+    to its self-attention cache, and attends over the cache and over the
+    encoder memory, whose cross-attention keys and values are projected once
+    here. Per-head tensors are head-major (heads * batch, rows, d_k) stacks,
+    so every (head, sentence) pair is one attention problem. The logits
+    equal the last row of a teacher-forced ``decode_forward`` over the same
+    prefix, up to rounding. No tape is recorded.
+    """
+
+    def __init__(self, model: KTransformer, memories: list[Tensor], src_masks: list[np.ndarray]):
+        cfg = model.config
+        self.model = model
+        self.heads, self.d_k = cfg.heads, cfg.d_model // cfg.heads
+        b, s = len(memories), max(mem.data.shape[0] for mem in memories)
+        rows = np.zeros((b * s, cfg.d_model), dtype=model.dtype)
+        keep = np.zeros((b, s), dtype=bool)
+        for i, (mem, mask) in enumerate(zip(memories, src_masks)):
+            n = mem.data.shape[0]
+            rows[i * s : i * s + n] = mem.data
+            keep[i, :n] = mask
+        rows = Tensor(rows)
+        self.memory = [
+            (self._project(rows, [h.wk for h in layer.cross_attn.heads], s),
+             self._project(rows, [h.wv for h in layer.cross_attn.heads], s))
+            for layer in model.decoder
+        ]
+        self.memory_keep = np.broadcast_to(keep[None, :, None, :], (self.heads, b, 1, s)).reshape(-1, 1, s)
+        empty = np.zeros((self.heads * b, 0, self.d_k), dtype=model.dtype)
+        self.cache = [(empty, empty) for _ in model.decoder]
+        self.length = 0
+
+    def _project(self, x: Tensor, weights: list[Tensor], rows_per_sentence: int = 1) -> np.ndarray:
+        """x @ w for each head's w, as a (heads * batch, rows, d_k) stack."""
+        return stack([matmul(x, w) for w in weights]).data.reshape(-1, rows_per_sentence, self.d_k)
+
+    def _attend(self, x: Tensor, mha, k: np.ndarray, v: np.ndarray, keep=None) -> Tensor:
+        q = self._project(x, [h.wq for h in mha.heads])
+        out, _ = scaled_dot_attention(Tensor(q), Tensor(k), Tensor(v), keep=keep)
+        return matmul(merge_heads(Tensor(out.data.reshape(self.heads, -1, self.d_k))), mha.wo)
+
+    def step(self, ids) -> np.ndarray:
+        """Decode one position for every sentence; see the class docstring."""
+        m = self.model
+        if self.length > m.config.max_len:
+            raise ValueError(f"decoder input length {self.length + 1} exceeds {m.config.max_len + 1}")
+        x = add(pick_rows(m.tgt_embed, ids), Tensor(m.pe.data[self.length]))
+        for li, layer in enumerate(m.decoder):
+            k, v = self.cache[li]
+            heads = layer.self_attn.heads
+            k = np.concatenate([k, self._project(x, [h.wk for h in heads])], axis=1)
+            v = np.concatenate([v, self._project(x, [h.wv for h in heads])], axis=1)
+            self.cache[li] = (k, v)
+            x = residual_layernorm(x, self._attend(x, layer.self_attn, k, v), layer.ln1)
+            x = residual_layernorm(x, self._attend(x, layer.cross_attn, *self.memory[li], self.memory_keep), layer.ln2)
+            x = residual_layernorm(x, feed_forward(layer.ffn, x), layer.ln3)
+        self.length += 1
+        return matmul(x, m.out_proj).data
+
+    def keep_rows(self, rows: np.ndarray) -> None:
+        """Keep only the sentences at ``rows`` (indices into the current batch)."""
+
+        def pick(a: np.ndarray) -> np.ndarray:
+            return a.reshape(self.heads, -1, *a.shape[1:])[:, rows].reshape(-1, *a.shape[1:])
+
+        self.cache = [(pick(k), pick(v)) for k, v in self.cache]
+        self.memory = [(pick(k), pick(v)) for k, v in self.memory]
+        self.memory_keep = pick(self.memory_keep)
 
 
 def loss(logits: Tensor, target_ids) -> Tensor:

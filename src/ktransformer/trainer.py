@@ -321,15 +321,14 @@ def corpus_greedy_bleu(
     """Greedy-decode every usable pair and score corpus BLEU against the raw
     reference tokens; None when no pair is usable. Smoothing defaults on so
     early-training curves are not pinned at zero by missing 4-grams."""
-    pairs = []
-    for src_tokens, ref_tokens in corpus.pairs():
-        if not 1 <= len(src_tokens) <= model.config.max_len or len(ref_tokens) == 0:
-            continue
-        src_ids = [vocab_src.id_of(t) for t in src_tokens]
-        hyp = decode(model.greedy_translate(src_ids, max_out_len=max_out_len), vocab_tgt)
-        pairs.append((hyp, list(ref_tokens)))
-    if not pairs:
+    usable = [
+        (src, ref) for src, ref in corpus.pairs() if 1 <= len(src) <= model.config.max_len and len(ref) > 0
+    ]
+    if not usable:
         return None
+    sources = [[vocab_src.id_of(t) for t in src] for src, _ in usable]
+    hyps = model.greedy_translate_batch(sources, max_out_len=max_out_len)
+    pairs = [(decode(hyp, vocab_tgt), list(ref)) for hyp, (_, ref) in zip(hyps, usable)]
     return corpus_bleu(pairs, smooth=smooth).score
 
 

@@ -10,6 +10,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from ktransformer import tensor as T
 from ktransformer.cluster import kmeans_fit
@@ -289,6 +290,7 @@ def test_ac4_bleu_matches_exhaustive_oracle():
 # --------------------------------------------------------------------- AC-5
 
 
+@pytest.mark.slow
 def test_ac5_copy_task_learned_to_criterion(tmp_path):
     """20-token vocabulary, 200 sentences of length 3-12, d_model 32 with
     2 heads and 2+2 layers: training loss under 0.05 within 2000 steps,
@@ -328,6 +330,7 @@ def test_ac5_copy_task_learned_to_criterion(tmp_path):
 # --------------------------------------------------------------------- AC-6
 
 
+@pytest.mark.slow
 def test_ac6_cluster_conditioning_not_worse_on_topic_task(tmp_path):
     """Two-topic synthetic task with ambiguous tokens, k=2 clusters: over
     5 seeds, mean held-out BLEU of cluster_mode=both at least matches the

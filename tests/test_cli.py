@@ -256,6 +256,32 @@ def test_translate_checkpoint_without_vocab_is_data_error(workdir):
     assert rc == EXIT_DATA
 
 
+def test_translate_past_positional_table_is_usage_error(workdir):
+    from ktransformer.corpus import Vocabulary
+    from ktransformer.model import KTransformer, ModelConfig
+    from ktransformer.trainer import save_checkpoint
+
+    vocab = Vocabulary(["a", "b", "c", "d"])
+    model = KTransformer(ModelConfig(vocab_src=8, vocab_tgt=8, d_model=8, heads=2, d_ff=16,
+                                     layers_enc=1, layers_dec=1, max_len=6))
+    # never emits <EOS>: the last layer norm outputs ones and out_proj scores only "a"
+    model.decoder[-1].ln3.gain.data[...] = 0.0
+    model.decoder[-1].ln3.shift.data[...] = 1.0
+    model.out_proj.data[...] = 0.0
+    model.out_proj.data[:, vocab.id_of("a")] = 1.0
+    path = workdir / "rigged.ckpt"
+    save_checkpoint(model, path, vocab_src=vocab, vocab_tgt=vocab)
+    inp = workdir / "in.txt"
+    inp.write_text("a b\n\nc d b\n", encoding="utf-8")
+    out = workdir / "o.txt"
+    args = ["translate", "--checkpoint", str(path), "--input", str(inp), "--output", str(out), "--max-out-len"]
+    assert main(args + ["7"]) == EXIT_OK  # max_len + 1 tokens still fit the positional table
+    assert out.read_text(encoding="utf-8").splitlines() == [" ".join("a" * 7), "", " ".join("a" * 7)]
+    out.unlink()
+    assert main(args + ["8"]) == EXIT_USAGE
+    assert not out.exists()
+
+
 def test_translate_empty_input_gives_empty_output(workdir):
     prep, run = _trained_run(workdir)
     inp = workdir / "none.txt"

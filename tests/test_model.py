@@ -9,6 +9,7 @@ from ktransformer.cluster import ClusterResult, kmeans_fit
 from ktransformer.corpus import BOS_ID, EOS_ID, PAD_ID
 from ktransformer.model import (
     ClusterBiasParams,
+    IncrementalDecoder,
     KTransformer,
     ModelConfig,
     cluster_bias,
@@ -340,13 +341,131 @@ def test_sequence_loss_matches_manual_teacher_forcing():
 # ------------------------------------------------------------ greedy
 
 
+def reference_greedy(m, src_ids, src_mask=None, max_out_len=None):
+    """Full-prefix greedy loop: one teacher-forced decoder pass over the
+    whole prefix per emitted token. The oracle for the cached decoder."""
+    cap = m.config.max_len if max_out_len is None else max_out_len
+    memory, _ = m.encode(src_ids, src_mask)
+    smask = None if src_mask is None else np.asarray(src_mask, dtype=bool)
+    out = []
+    for _ in range(cap):
+        logits = m.decode_forward(np.array([BOS_ID] + out, dtype=np.int64), memory, src_mask=smask)
+        next_id = int(np.argmax(logits.data[-1]))
+        if next_id == EOS_ID:
+            break
+        out.append(next_id)
+    return out
+
+
+def rig_winner(m, token):
+    """Make `token` win every decoder step: the last layer norm emits a
+    constant all-ones row and out_proj scores only `token`'s column."""
+    ln = m.decoder[-1].ln3
+    ln.gain.data[...] = 0.0
+    ln.shift.data[...] = 1.0
+    m.out_proj.data[...] = 0.0
+    m.out_proj.data[:, token] = 1.0
+    return m
+
+
+def decoding_model(cluster_mode="both", precision="f64", **kw):
+    """A model whose greedy outputs stop at varied lengths, with non-zero
+    cluster gates so the encoder bias takes part."""
+    m = KTransformer(small_config(cluster_mode=cluster_mode, precision=precision, layers_enc=2, layers_dec=2,
+                                  init_seed=1, **kw))
+    for layer in m.encoder:
+        for h, g in enumerate(layer.bias.gain_same):
+            g.data[...] = 0.7 - h
+        for h, g in enumerate(layer.bias.gain_affinity):
+            g.data[...] = -0.4 + h
+    m.out_proj.data[:, EOS_ID] *= 2.0
+    return m
+
+
 def test_greedy_emits_argmax_and_stops_at_eos():
-    m = KTransformer(small_config())
-    # rig the output projection so every step prefers token 5, then check
-    # the cap stops decoding
-    out = m.greedy_translate(np.array([4, 5, 6]), max_out_len=4)
-    assert len(out) <= 4
-    assert all(0 <= t < 12 for t in out)
+    srcs = [np.array([4, 5, 6]), np.array([7]), np.array([8, 9, 10, 11, 4])]
+    m = rig_winner(KTransformer(small_config()), 5)
+    assert m.greedy_translate(srcs[0], max_out_len=4) == [5, 5, 5, 5]
+    assert m.greedy_translate_batch(srcs, max_out_len=4) == [[5, 5, 5, 5]] * 3
+    m = rig_winner(KTransformer(small_config()), EOS_ID)
+    assert m.greedy_translate(srcs[0], max_out_len=4) == []
+    assert m.greedy_translate_batch(srcs, max_out_len=4) == [[]] * 3
+
+
+@pytest.mark.parametrize("cluster_mode", ["off", "both"])
+@pytest.mark.parametrize("precision", ["f64", "f32"])
+def test_cached_greedy_matches_full_prefix_loop(cluster_mode, precision):
+    m = decoding_model(cluster_mode, precision)
+    max_len = m.config.max_len
+    rng = np.random.default_rng(5)
+    srcs = [rng.integers(4, 12, size=n) for n in range(1, max_len + 1)]
+    for cap in (0, 1, max_len, None):
+        want = [reference_greedy(m, s, max_out_len=cap) for s in srcs]
+        assert m.greedy_translate_batch(srcs, max_out_len=cap) == want
+    lengths = {len(o) for o in want}
+    assert len(lengths) > 1 and max(lengths) == max_len  # some stop early, some hit the cap
+
+
+@pytest.mark.parametrize("cluster_mode", ["off", "both"])
+def test_cached_greedy_with_padded_sources(cluster_mode):
+    m = decoding_model(cluster_mode)
+    max_len = m.config.max_len
+    rng = np.random.default_rng(6)
+    srcs, masks = [], []
+    for n_real in (1, 3, 6, max_len):
+        ids = np.full(max_len, PAD_ID, dtype=np.int64)
+        ids[:n_real] = rng.integers(4, 12, size=n_real)
+        srcs.append(ids)
+        masks.append(np.arange(max_len) < n_real)
+    want = [reference_greedy(m, s, k) for s, k in zip(srcs, masks)]
+    assert m.greedy_translate_batch(srcs, masks) == want
+    assert [m.greedy_translate(s, k) for s, k in zip(srcs, masks)] == want
+
+
+def test_sentence_alone_equals_sentence_in_batch(monkeypatch):
+    m = decoding_model()
+    rng = np.random.default_rng(7)
+    srcs = [rng.integers(4, 12, size=n) for n in (4, 1, 9, 2, 10, 6, 3, 7)]
+    batch = m.greedy_translate_batch(srcs)
+    assert batch == [m.greedy_translate(s) for s in srcs]
+    assert m.greedy_translate_batch([]) == []
+    monkeypatch.setattr("ktransformer.model.DECODE_BATCH", 3)  # three length-sorted chunks
+    assert m.greedy_translate_batch(srcs) == batch
+
+
+def test_incremental_logits_match_teacher_forced_last_row():
+    # f64: every cached step, also after dropping a sentence from the batch,
+    # reproduces the last logits row of a full teacher-forced pass
+    m = decoding_model()
+    max_len = m.config.max_len
+    rng = np.random.default_rng(8)
+    srcs = [rng.integers(4, 12, size=n) for n in (3, max_len, 1)]
+    masks = [np.ones(3, dtype=bool), np.arange(max_len) < 5, np.ones(1, dtype=bool)]
+    srcs[1][5:] = PAD_ID
+    memories = [m.encode(s, k)[0] for s, k in zip(srcs, masks)]
+    prefixes = [np.concatenate([[BOS_ID], rng.integers(1, 12, size=max_len)]) for _ in srcs]
+    dec = IncrementalDecoder(m, memories, masks)
+    rows = [0, 1, 2]
+    for t in range(max_len + 1):
+        if t == 4:
+            rows = [0, 2]
+            dec.keep_rows(np.array([0, 2]))
+        logits = dec.step(np.array([prefixes[i][t] for i in rows]))
+        for r, i in enumerate(rows):
+            want = m.decode_forward(prefixes[i][: t + 1], memories[i], src_mask=masks[i]).data[-1]
+            assert np.abs(logits[r] - want).max() <= 1e-12 * np.abs(want).max()
+    with pytest.raises(ValueError, match="exceeds"):
+        dec.step(np.array([4, 4]))
+
+
+def test_greedy_past_positional_table_is_value_error():
+    m = rig_winner(KTransformer(small_config()), 5)  # never emits EOS
+    max_len = m.config.max_len
+    assert m.greedy_translate(np.array([4, 5]), max_out_len=max_len + 1) == [5] * (max_len + 1)
+    with pytest.raises(ValueError, match="exceeds"):
+        m.greedy_translate(np.array([4, 5]), max_out_len=max_len + 2)
+    with pytest.raises(ValueError, match="exceeds"):
+        m.greedy_translate_batch([np.array([4]), np.array([6, 7, 8])], max_out_len=max_len + 5)
 
 
 def test_greedy_zero_cap_gives_empty():
