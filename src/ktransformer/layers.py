@@ -9,7 +9,6 @@ into an encoder-decoder lives in ``model``.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -55,16 +54,26 @@ def glorot(rng: np.random.Generator, fan_in: int, fan_out: int, dtype=np.float32
     return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(dtype)
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator | int | None, training: bool) -> Tensor:
+def dropout(
+    x: Tensor,
+    rate: float,
+    rng: np.random.Generator | int | None,
+    training: bool,
+    uniform: np.ndarray | None = None,
+) -> Tensor:
     """Inverted dropout: zero each element with probability ``rate`` and
-    scale survivors by 1/(1-rate). Identity when not training or rate is 0."""
+    scale survivors by 1/(1-rate). Identity when not training or rate is 0.
+    ``uniform`` optionally supplies the U[0, 1) samples, one per element,
+    instead of drawing them from ``rng``."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return x
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
-    keep = rng.random(x.data.shape) >= rate
+    if uniform is None:
+        if not isinstance(rng, np.random.Generator):
+            rng = np.random.default_rng(rng)
+        uniform = rng.random(x.data.shape)
+    keep = uniform >= rate
     mask = Tensor((keep / (1.0 - rate)).astype(x.data.dtype))
     return mul(x, mask)
 
@@ -92,19 +101,19 @@ def scaled_dot_attention(
     bias: Tensor | None = None,
     keep: np.ndarray | None = None,
 ) -> tuple[Tensor, Tensor]:
-    """softmax(Q K^T / sqrt(d_k) + bias) V for one head, or for every head of
-    (heads, n, d) stacks at once.
+    """softmax(Q K^T / sqrt(d_k) + bias) V for one head, or for every head
+    (and sentence) of (..., heads, n, d) stacks at once.
 
     Returns (output, attention weights). ``bias`` is an optional additive
     tensor of the scores' shape, applied to the scaled scores before
-    masking. ``keep`` is an optional boolean array, either (n_q, n_k) shared
-    by all heads or of the scores' full shape; False entries are excluded
-    from the softmax. A query row with no kept key is an error rather than a
-    silent uniform distribution.
+    masking. ``keep`` is an optional boolean array that broadcasts to the
+    scores' shape, e.g. one (n_q, n_k) mask shared by all heads; False
+    entries are excluded from the softmax. A query row with no kept key is
+    an error rather than a silent uniform distribution.
     """
     qs, ks, vs = q.data.shape, k.data.shape, v.data.shape
-    if len(qs) not in (2, 3) or len(ks) != len(qs) or len(vs) != len(qs):
-        raise ValueError(f"attention operands must be 2-D or 3-D alike, got {qs}, {ks}, {vs}")
+    if len(qs) < 2 or len(ks) != len(qs) or len(vs) != len(qs):
+        raise ValueError(f"attention operands must be stacks of matrices alike, got {qs}, {ks}, {vs}")
     if qs[:-2] != ks[:-2] or ks[:-2] != vs[:-2] or qs[-1] != ks[-1] or ks[-2] != vs[-2]:
         raise ValueError(f"attention shape mismatch: q {qs}, k {ks}, v {vs}")
     d_k = qs[-1]
@@ -158,22 +167,21 @@ def multi_head_attention(
     k_in: Tensor,
     v_in: Tensor,
     mha: MultiHeadAttention,
-    per_head_bias: Sequence[Tensor] | None = None,
+    bias: Tensor | None = None,
     keep: np.ndarray | None = None,
 ) -> Tensor:
-    """Concat_i head_i(Q W_i^Q, K W_i^K, V W_i^V) projected by W^O.
+    """Concat_i head_i(Q W_i^Q, K W_i^K, V W_i^V) projected by W^O, for
+    (n, d_model) inputs or (B, n, d_model) batches.
 
     Each head's projections run in head order (q, k, v), then all heads
-    share one stacked attention chain; the tape therefore sums gradients in
-    the same order as a per-head loop would, and every float matches it.
-    ``per_head_bias`` optionally supplies one additive (n_q, n_k) score bias
-    per head; this is the hook the clustering signal plugs into.
+    share one stacked (..., heads, n, d_k) attention chain; the tape
+    therefore sums gradients in the same order as a per-head loop would, and
+    every float matches it. ``bias`` optionally supplies an additive score
+    bias of shape (..., heads, n_q, n_k); this is the hook the clustering
+    signal plugs into.
     """
-    if per_head_bias is not None and len(per_head_bias) != mha.n_heads:
-        raise ValueError(f"expected {mha.n_heads} per-head biases, got {len(per_head_bias)}")
     projected = [(matmul(q_in, h.wq), matmul(k_in, h.wk), matmul(v_in, h.wv)) for h in mha.heads]
     q, k, v = (stack(parts) for parts in zip(*projected))
-    bias = stack(per_head_bias) if per_head_bias is not None else None
     out, _ = scaled_dot_attention(q, k, v, bias=bias, keep=keep)
     return matmul(merge_heads(out), mha.wo)
 

@@ -9,13 +9,15 @@ learnable per-head scalars that start at zero, so a freshly built model is
 exactly a vanilla Transformer. Assignments and centroids are constants of
 the forward pass; gradients reach only the gate scalars.
 
-Encoding and teacher-forced decoding run per sentence: ids are 1-D,
-activations are (length, d_model), and padded rows from a batch are accepted
-alongside a boolean mask marking the real prefix. Greedy decoding runs many
-encoded sentences in lockstep through ``IncrementalDecoder``: one new
-(batch, d_model) row per step, with each layer's self-attention keys and
-values cached and the encoder memories' cross-attention keys and values
-projected once.
+Encoding, teacher-forced decoding and the loss take one sentence (1-D ids,
+(length, d_model) activations) or a padded batch of them ((B, length) ids,
+(B, length, d_model) activations) with boolean masks marking each real
+prefix. A batch runs as one pass and gives every sentence the floats it
+would get on its own at the batch's padded width; k-means and the cluster
+tables are still per sentence. Greedy decoding runs many encoded sentences
+in lockstep through ``IncrementalDecoder``: one new (batch, d_model) row per
+step, with each layer's self-attention keys and values cached and the
+encoder memories' cross-attention keys and values projected once.
 """
 
 from __future__ import annotations
@@ -38,7 +40,18 @@ from .layers import (
     residual_layernorm,
     scaled_dot_attention,
 )
-from .tensor import Tensor, add, dtype_of, masked_cross_entropy, matmul, merge_heads, mul, pick_rows, stack
+from .tensor import (
+    Tensor,
+    add,
+    dtype_of,
+    gated_heads,
+    masked_cross_entropy,
+    matmul,
+    merge_heads,
+    mul,
+    pick_rows,
+    stack,
+)
 
 CLUSTER_MODES = ("off", "same_cluster", "centroid_affinity", "both")
 
@@ -133,8 +146,7 @@ def cluster_bias(
         return None
     if head >= len(params.gain_same):
         raise ValueError(f"head {head} out of range for {len(params.gain_same)} heads")
-    a = result.assignments
-    n = a.shape[0]
+    n = result.assignments.shape[0]
     total = n if total_len is None else total_len
     if total < n:
         raise ValueError(f"total_len {total} shorter than clustered length {n}")
@@ -143,22 +155,36 @@ def cluster_bias(
     bias: Tensor | None = None
     if mode in ("same_cluster", "both"):
         same = np.zeros((total, total), dtype=dtype)
-        same[:n, :n] = (a[:, None] == a[None, :]).astype(dtype)
+        same[:n, :n] = _same_cluster(result)
         bias = mul(params.gain_same[head], Tensor(same))
     if mode in ("centroid_affinity", "both"):
-        centroid = np.asarray(result.centroids[head % result.centroids.shape[0]], dtype=np.float64)
-        emb = np.asarray(embeddings.data[:n], dtype=np.float64)
-        c_norm = np.sqrt((centroid * centroid).sum())
-        e_norm = np.sqrt((emb * emb).sum(axis=1))
-        cos = np.zeros(n, dtype=np.float64)
-        ok = (e_norm >= 1e-12) & (c_norm >= 1e-12)
-        if c_norm >= 1e-12:
-            cos[ok] = (emb[ok] @ centroid) / (e_norm[ok] * c_norm)
+        cos = _centroid_cosines(result, embeddings.data[:n])
         aff = np.zeros((total, total), dtype=dtype)
-        aff[:n, :n] = np.broadcast_to(cos.astype(dtype), (n, n))
+        aff[:n, :n] = cos[head % cos.shape[0]].astype(dtype)
         term = mul(params.gain_affinity[head], Tensor(aff))
         bias = term if bias is None else add(bias, term)
     return bias
+
+
+def _same_cluster(result: ClusterResult) -> np.ndarray:
+    """(n, n) boolean: tokens i and j share a cluster."""
+    a = result.assignments
+    return a[:, None] == a[None, :]
+
+
+def _centroid_cosines(result: ClusterResult, embeddings: np.ndarray) -> np.ndarray:
+    """(k, n) float64 cosines between each centroid and each token's
+    embedding; a zero-norm side gives 0."""
+    emb = np.asarray(embeddings, dtype=np.float64)
+    e_norm = np.sqrt((emb * emb).sum(axis=1))
+    ok = e_norm >= 1e-12
+    cos = np.zeros((result.centroids.shape[0], emb.shape[0]), dtype=np.float64)
+    for j, c in enumerate(result.centroids):
+        centroid = np.asarray(c, dtype=np.float64)
+        c_norm = np.sqrt((centroid * centroid).sum())
+        if c_norm >= 1e-12:
+            cos[j, ok] = (emb[ok] @ centroid) / (e_norm[ok] * c_norm)
+    return cos
 
 
 class EncoderLayer:
@@ -211,27 +237,29 @@ class DecoderLayer:
 
 
 def _check_ids(ids, vocab_size: int, what: str) -> np.ndarray:
+    """One sentence (1-D) or a padded batch (B, n) of non-empty id rows."""
     arr = np.asarray(ids, dtype=np.int64)
-    if arr.ndim != 1 or arr.shape[0] < 1:
-        raise ValueError(f"{what} ids must be a non-empty 1-D sequence")
+    if arr.ndim not in (1, 2) or arr.size == 0:
+        raise ValueError(f"{what} ids must be a non-empty 1-D sequence or (batch, length) array")
     if arr.min() < 0 or arr.max() >= vocab_size:
         raise ValueError(f"{what} id out of range for vocabulary of {vocab_size}")
     return arr
 
 
-def _check_mask(mask, n: int, ids: np.ndarray, what: str) -> np.ndarray:
-    """Masks must mark a non-empty real prefix; the suffix must be <PAD>."""
+def _check_mask(mask, ids: np.ndarray, what: str) -> np.ndarray:
+    """Masks must mark a non-empty real prefix of every sentence; the suffix
+    must be <PAD>."""
     if mask is None:
-        return np.ones(n, dtype=bool)
+        return np.ones(ids.shape, dtype=bool)
     m = np.asarray(mask, dtype=bool)
-    if m.shape != (n,):
-        raise ValueError(f"{what} mask shape {m.shape} does not match {n} ids")
-    n_real = int(m.sum())
-    if n_real == 0:
+    if m.shape != ids.shape:
+        raise ValueError(f"{what} mask shape {m.shape} does not match ids {ids.shape}")
+    n_real = m.sum(axis=-1, keepdims=True)
+    if not n_real.all():
         raise ValueError(f"{what} mask marks no real tokens")
-    if not m[:n_real].all():
+    if (m != (np.arange(m.shape[-1]) < n_real)).any():
         raise ValueError(f"{what} mask must be a True prefix followed by padding")
-    if (ids[n_real:] != PAD_ID).any():
+    if (ids[~m] != PAD_ID).any():
         raise ValueError(f"{what} padding positions must hold the <PAD> id")
     return m
 
@@ -276,65 +304,117 @@ class KTransformer:
         k_eff = min(self.config.clusters_k, n)
         return kmeans_fit(embeddings.data, k_eff, seed=self.config.cluster_seed)
 
-    def _dropout_in(self, x: Tensor, training: bool, rng) -> Tensor:
-        return dropout(x, self.config.dropout, rng, training)
+    def _dropout_draws(self, training: bool, rng, lead: tuple[int, ...], lengths: tuple[int, ...]) -> list:
+        """U[0, 1) samples for input dropout at each site of a sentence,
+        (length, d_model) each, for every sentence in turn: sentence 0's
+        sites in order, then sentence 1's, and so on. That is the order in
+        which running the sentences one at a time draws them, so a batch
+        gets the same masks. Nones when dropout is inactive."""
+        if not training or self.config.dropout == 0.0:
+            return [None] * len(lengths)
+        if not isinstance(rng, np.random.Generator):
+            rng = np.random.default_rng(rng)
+        d = self.config.d_model
+        flat = rng.random(lead + (sum(lengths) * d,))
+        cuts = np.cumsum([n * d for n in lengths])[:-1]
+        return [u.reshape(lead + (n, d)) for u, n in zip(np.split(flat, cuts, axis=-1), lengths)]
+
+    def _dropout_in(self, x: Tensor, uniform) -> Tensor:
+        return dropout(x, self.config.dropout, None, uniform is not None, uniform=uniform)
+
+    def _cluster_bias_tables(self, emb: np.ndarray, mask: np.ndarray):
+        """k-means on each sentence's real token embeddings, and the constant
+        tables of the cluster bias: the same-cluster indicator, (B, 1, n, n),
+        and each head's centroid cosine of every key, broadcast over the
+        query rows, (B, heads, n, n); zero in padded rows and columns. Returns
+        (cluster results, indicator, cosines); a table that ``cluster_mode``
+        does not use is None."""
+        cfg = self.config
+        b, n = mask.shape
+        want_same = cfg.cluster_mode in ("same_cluster", "both")
+        want_aff = cfg.cluster_mode in ("centroid_affinity", "both")
+        same = np.zeros((b, 1, n, n), dtype=self.dtype) if want_same else None
+        aff = np.zeros((b, cfg.heads, n, n), dtype=self.dtype) if want_aff else None
+        results = []
+        for i in range(b):
+            n_real = int(mask[i].sum())
+            real = emb[i, :n_real].copy()
+            result = self.cluster_source(Tensor(real))
+            results.append(result)
+            if want_same:
+                same[i, 0, :n_real, :n_real] = _same_cluster(result)
+            if want_aff:
+                cos = _centroid_cosines(result, real).astype(self.dtype)
+                for h in range(cfg.heads):
+                    aff[i, h, :n_real, :n_real] = cos[h % cos.shape[0]]
+        return results, same, aff
 
     def encode(self, src_ids, src_mask=None, training: bool = False, rng=None):
-        """Run the encoder over one (possibly PAD-suffixed) source sentence.
+        """Run the encoder over one (possibly PAD-suffixed) source sentence,
+        or over a (B, n) batch of them.
 
-        Returns (memory, cluster result); the cluster slot is None when
-        cluster_mode is off. Padded rows pass through the stack but are
-        excluded from every attention softmax via the mask.
+        Returns (memory, cluster result); for a batch, the cluster slot is
+        the list of per-sentence results. It is None when cluster_mode is
+        off. Padded rows pass through the stack but are excluded from every
+        attention softmax via the mask.
         """
+        ids = _check_ids(src_ids, self.config.vocab_src, "source")
+        (uniform,) = self._dropout_draws(training, rng, ids.shape[:-1], (ids.shape[-1],))
+        return self._encode(ids, src_mask, uniform)
+
+    def _encode(self, ids: np.ndarray, src_mask, uniform):
         cfg = self.config
-        ids = _check_ids(src_ids, cfg.vocab_src, "source")
-        n = ids.shape[0]
+        n = ids.shape[-1]
         if n > cfg.max_len:
             raise ValueError(f"source length {n} exceeds max_len {cfg.max_len}")
-        mask = _check_mask(src_mask, n, ids, "source")
-        n_real = int(mask.sum())
+        mask = _check_mask(src_mask, ids, "source")
 
         emb = pick_rows(self.src_embed, ids)
-        result = None
-        biases_by_layer = None
+        results, tables = None, (None, None)
         if cfg.cluster_mode != "off":
-            real_emb = Tensor(emb.data[:n_real].copy())
-            result = self.cluster_source(real_emb)
-            biases_by_layer = [
-                [cluster_bias(result, real_emb, h, layer.bias, cfg.cluster_mode, total_len=n) for h in range(cfg.heads)]
-                for layer in self.encoder
-            ]
+            results, *tables = self._cluster_bias_tables(emb.data.reshape(-1, n, cfg.d_model), mask.reshape(-1, n))
+            if ids.ndim == 1:
+                results, tables = results[0], [None if t is None else t[0] for t in tables]
 
         x = add(emb, Tensor(self.pe.data[:n]))
-        x = self._dropout_in(x, training, rng)
-        keep = np.broadcast_to(mask, (n, n))
-        for li, layer in enumerate(self.encoder):
-            bias = biases_by_layer[li] if biases_by_layer is not None else None
-            attn = multi_head_attention(x, x, x, layer.attn, per_head_bias=bias, keep=keep)
+        x = self._dropout_in(x, uniform)
+        keep = mask[..., None, None, :]
+        for layer in self.encoder:
+            gains = (layer.bias.gain_same, layer.bias.gain_affinity)
+            terms = [(g, t) for g, t in zip(gains, tables) if t is not None]
+            bias = gated_heads(terms) if terms else None
+            attn = multi_head_attention(x, x, x, layer.attn, bias=bias, keep=keep)
             x = residual_layernorm(x, attn, layer.ln1)
             x = residual_layernorm(x, feed_forward(layer.ffn, x), layer.ln2)
-        return x, result
+        return x, results
 
     def decode_forward(self, tgt_ids, memory: Tensor, tgt_mask=None, src_mask=None, training: bool = False, rng=None) -> Tensor:
         """Teacher-forced decoder pass: causal self-attention, cross-attention
-        over the encoder memory, FFN; returns (m, vocab_tgt) logits."""
+        over the encoder memory, FFN; returns (m, vocab_tgt) logits, or
+        (B, m, vocab_tgt) for a batch of ids with (B, s, d_model) memory."""
+        ids = _check_ids(tgt_ids, self.config.vocab_tgt, "target")
+        (uniform,) = self._dropout_draws(training, rng, ids.shape[:-1], (ids.shape[-1],))
+        return self._decode(ids, memory, tgt_mask, src_mask, uniform)
+
+    def _decode(self, ids: np.ndarray, memory: Tensor, tgt_mask, src_mask, uniform) -> Tensor:
         cfg = self.config
-        ids = _check_ids(tgt_ids, cfg.vocab_tgt, "target")
-        m = ids.shape[0]
+        m = ids.shape[-1]
         if m > cfg.max_len + 1:
             raise ValueError(f"decoder input length {m} exceeds {cfg.max_len + 1}")
-        mask = _check_mask(tgt_mask, m, ids, "target")
-        s = memory.data.shape[0]
-        smask = np.ones(s, dtype=bool) if src_mask is None else np.asarray(src_mask, dtype=bool)
-        if smask.shape != (s,):
-            raise ValueError(f"source mask shape {smask.shape} does not match memory rows {s}")
+        mask = _check_mask(tgt_mask, ids, "target")
+        rows = memory.data.shape[:-1]
+        if rows[:-1] != ids.shape[:-1]:
+            raise ValueError(f"memory shape {memory.data.shape} does not match target ids {ids.shape}")
+        smask = np.ones(rows, dtype=bool) if src_mask is None else np.asarray(src_mask, dtype=bool)
+        if smask.shape != rows:
+            raise ValueError(f"source mask shape {smask.shape} does not match memory rows {rows}")
 
         causal = np.tril(np.ones((m, m), dtype=bool))
-        keep_self = causal & mask
-        keep_cross = np.broadcast_to(smask, (m, s))
+        keep_self = (causal & mask[..., None, :])[..., None, :, :]
+        keep_cross = smask[..., None, None, :]
 
         x = add(pick_rows(self.tgt_embed, ids), Tensor(self.pe.data[:m]))
-        x = self._dropout_in(x, training, rng)
+        x = self._dropout_in(x, uniform)
         for layer in self.decoder:
             sa = multi_head_attention(x, x, x, layer.self_attn, keep=keep_self)
             x = residual_layernorm(x, sa, layer.ln1)
@@ -344,25 +424,30 @@ class KTransformer:
         return matmul(x, self.out_proj)
 
     def sequence_loss(self, src_ids, tgt_ids, src_mask=None, tgt_mask=None, training: bool = False, rng=None) -> Tensor:
-        """Teacher-forced cross-entropy for one sentence pair.
+        """Teacher-forced cross-entropy for one sentence pair (a scalar), or
+        for each pair of a padded (B, n) batch (a (B,) vector).
 
         The decoder reads <BOS> + target and the loss compares against
-        target + <EOS>; padding positions are excluded from the mean.
+        target + <EOS>; padding positions are excluded from each mean. The
+        whole batch is one pass; dropout masks are drawn sentence by
+        sentence, encoder input then decoder input, as one sentence at a
+        time would draw them.
         """
+        sids = _check_ids(src_ids, self.config.vocab_src, "source")
         tids = _check_ids(tgt_ids, self.config.vocab_tgt, "target")
-        tmask = _check_mask(tgt_mask, tids.shape[0], tids, "target")
-        m_real = int(tmask.sum())
-        dec_in = np.full(tids.shape[0] + 1, PAD_ID, dtype=np.int64)
-        dec_in[0] = BOS_ID
-        dec_in[1 : m_real + 1] = tids[:m_real]
-        dec_mask = np.zeros(tids.shape[0] + 1, dtype=bool)
-        dec_mask[: m_real + 1] = True
-        target = np.full(tids.shape[0] + 1, PAD_ID, dtype=np.int64)
-        target[:m_real] = tids[:m_real]
-        target[m_real] = EOS_ID
+        if sids.shape[:-1] != tids.shape[:-1]:
+            raise ValueError(f"source ids {sids.shape} and target ids {tids.shape} hold different sentence counts")
+        tmask = _check_mask(tgt_mask, tids, "target")
+        m_real = tmask.sum(axis=-1, keepdims=True)
+        lead, width = tids.shape[:-1], tids.shape[-1] + 1
+        dec_in = np.concatenate([np.full(lead + (1,), BOS_ID, dtype=np.int64), tids], axis=-1)
+        dec_mask = np.arange(width) <= m_real
+        target = np.concatenate([tids, np.full(lead + (1,), PAD_ID, dtype=np.int64)], axis=-1)
+        target = np.where(np.arange(width) == m_real, EOS_ID, target)
 
-        memory, _ = self.encode(src_ids, src_mask, training=training, rng=rng)
-        logits = self.decode_forward(dec_in, memory, tgt_mask=dec_mask, src_mask=src_mask, training=training, rng=rng)
+        enc_u, dec_u = self._dropout_draws(training, rng, lead, (sids.shape[-1], width))
+        memory, _ = self._encode(sids, src_mask, enc_u)
+        logits = self._decode(dec_in, memory, dec_mask, src_mask, dec_u)
         return loss(logits, target)
 
     def greedy_translate(self, src_ids, src_mask=None, max_out_len: int | None = None) -> list[int]:
@@ -487,9 +572,10 @@ class IncrementalDecoder:
 
 def loss(logits: Tensor, target_ids) -> Tensor:
     """Mean cross-entropy of logits rows against target ids, skipping <PAD>
-    positions; raises on an all-pad target."""
+    positions, per sentence for (B, m, vocab) logits; raises on an all-pad
+    target."""
     targets = np.asarray(target_ids, dtype=np.int64)
     active = targets != PAD_ID
-    if not active.any():
+    if not active.any(axis=-1).all():
         raise ValueError("loss over an all-pad target")
     return masked_cross_entropy(logits, targets, active)

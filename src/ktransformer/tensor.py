@@ -1,12 +1,18 @@
 """Dense float tensors with reverse-mode autodiff on an explicit gradient tape.
 
-Everything is numpy-backed and deliberately small: scalar, 1-D and 2-D arrays,
-plus (heads, rows, cols) stacks for attention, and just enough operations for
-an encoder-decoder attention stack and its training loop (matmul, row
-softmax, layer norm, embedding lookup, masked cross-entropy). ``matmul``,
-``transpose``, ``softmax_rows`` and ``masked_fill`` act on each head of a
-stack exactly as on a lone 2-D matrix, so stacking heads never changes a
-float. Default element type is float32; gradient checking runs in float64.
+Everything is numpy-backed and deliberately small: scalars, vectors and
+(rows, cols) matrices, optionally behind leading axes (a batch of sentences,
+then heads), and just enough operations for an encoder-decoder attention
+stack and its training loop (matmul, row softmax, layer norm, embedding
+lookup, masked cross-entropy). Every op computes each sentence and head of
+a stack with the same numpy/BLAS call as a lone 2-D matrix, so batching never
+changes a float. A parameter shared by the sentences of a batch (a 2-D
+weight, a row bias, a layer-norm gain or shift, an embedding table, a gate
+scalar) gets its gradient per sentence, folded last sentence first,
+((c[B-1] + c[B-2]) + ...) + c[0]: for a parameter that enters each
+sentence's computation once, the order in which a tape that ran the
+sentences one after another accumulates it. Default element type is
+float32; gradient checking runs in float64.
 
 Gradient arrays produced by ``backward`` are shared between tensors and must
 be treated as immutable; replace ``t.grad`` instead of mutating it in place.
@@ -37,8 +43,7 @@ class Tensor:
     """A dense row-major float array plus gradient metadata.
 
     ``grad`` is populated for requires_grad leaves by ``backward`` and
-    accumulates across tapes until reset to None, which is what lets a
-    training step sum gradients over the sentences of a batch.
+    accumulates across tapes until reset to None.
     """
 
     __slots__ = ("data", "requires_grad", "grad")
@@ -165,8 +170,8 @@ def _is_scalar_shape(shape: tuple[int, ...]) -> bool:
 
 
 def _check_matrix_or_stack(x: Tensor, op: str) -> None:
-    if x.data.ndim not in (2, 3):
-        raise ValueError(f"{op} expects a 2-D tensor or a (heads, rows, cols) stack, got shape {x.data.shape}")
+    if x.data.ndim < 2:
+        raise ValueError(f"{op} expects a matrix or a stack of matrices, got shape {x.data.shape}")
 
 
 def _swap_last(a: np.ndarray) -> np.ndarray:
@@ -174,23 +179,74 @@ def _swap_last(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -1, -2)
 
 
+def _sum_slices(c: np.ndarray) -> np.ndarray:
+    """((c[0] + c[1]) + c[2]) + ..., whole slices added one after another."""
+    # add.reduce over the leading axis does exactly this, except when each
+    # slice is one element: numpy then sums the run pairwise, so take the
+    # last running total instead
+    return np.cumsum(c, axis=0)[-1] if c[0].size == 1 else np.add.reduce(c, axis=0)
+
+
+def _fold(c: np.ndarray) -> np.ndarray:
+    """Per-sentence gradients c[b] of a shared parameter, folded in tape
+    order: ((c[B-1] + c[B-2]) + ...) + c[0]."""
+    return _sum_slices(c[::-1])
+
+
+def _scalar_grad(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Gradient of a scalar added to (or, with g pre-multiplied, scaling)
+    every element: the sum of g, per sentence and folded when g has a
+    leading batch axis in front of a matrix."""
+    if g.ndim >= 3:
+        return _fold(g.reshape(g.shape[0], -1).sum(axis=1)).reshape(shape)
+    return g.sum().reshape(shape)
+
+
+# Largest stack of per-sentence weight gradients held at once, in elements.
+_FOLD_BLOCK = 1 << 22
+
+
+def _fold_weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient of a weight that every sentence of a (B, n, k) input ``a``
+    multiplies: the per-sentence a[b]^T g[b], folded as ``_fold`` does. The
+    products are formed a block of sentences at a time, last sentence first;
+    each later block carries the running total in its first slot."""
+    a, g = a[::-1], g[::-1]
+    per = max(1, _FOLD_BLOCK // (a.shape[-1] * g.shape[-1]))
+    total = None
+    for lo in range(0, a.shape[0], per):
+        part = _swap_last(a[lo : lo + per]) @ g[lo : lo + per]
+        if total is not None:
+            part = np.concatenate([total[None], part])
+        total = _sum_slices(part)
+    return total
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two 2-D tensors, or head by head of two stacks with
-    the same leading head axis."""
+    """Matrix product of two 2-D tensors; slice by slice of two stacks with
+    the same leading axes; or of each sentence of a (B, n, k) batch with
+    one shared (k, m) weight."""
     _check_same_dtype(a, b)
     ash, bsh = a.data.shape, b.data.shape
-    if len(ash) not in (2, 3) or len(ash) != len(bsh) or ash[:-2] != bsh[:-2] or ash[-1] != bsh[-2]:
+    shared = len(ash) == 3 and len(bsh) == 2
+    if (
+        len(ash) < 2
+        or not (len(ash) == len(bsh) or shared)
+        or (not shared and ash[:-2] != bsh[:-2])
+        or ash[-1] != bsh[-2]
+    ):
         raise ValueError(f"matmul shape mismatch: {ash} x {bsh}")
     ad, bd = a.data, b.data
 
     def rule(g):
-        return g @ _swap_last(bd), _swap_last(ad) @ g
+        gb = _fold_weight_grad(ad, g) if shared else _swap_last(ad) @ g
+        return g @ _swap_last(bd), gb
 
     return _emit((a, b), ad @ bd, rule)
 
 
 def transpose(x: Tensor) -> Tensor:
-    """Matrix transpose, applied to each head of a stack."""
+    """Matrix transpose, applied to each matrix of a stack."""
     _check_matrix_or_stack(x, "transpose")
 
     def rule(g):
@@ -201,17 +257,23 @@ def transpose(x: Tensor) -> Tensor:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum. Besides equal shapes, supports adding a length-n bias
-    vector to each row of an (m, n) tensor, and adding a scalar tensor."""
+    vector to each row of an (m, n) tensor or of each sentence of a
+    (B, m, n) batch, adding one (m, n) tensor to each sentence of a batch,
+    and adding a scalar tensor."""
     _check_same_dtype(a, b)
     ash, bsh = a.data.shape, b.data.shape
     if ash == bsh:
         rule = lambda g: (g, g)
     elif _is_scalar_shape(bsh):
-        rule = lambda g: (g, g.sum().reshape(bsh))
+        rule = lambda g: (g, _scalar_grad(g, bsh))
     elif _is_scalar_shape(ash):
-        rule = lambda g: (g.sum().reshape(ash), g)
+        rule = lambda g: (_scalar_grad(g, ash), g)
     elif len(ash) == 2 and len(bsh) == 1 and ash[1] == bsh[0]:
         rule = lambda g: (g, g.sum(axis=0))
+    elif len(ash) == 3 and len(bsh) == 1 and ash[2] == bsh[0]:
+        rule = lambda g: (g, _fold(g.sum(axis=1)) if b.requires_grad else None)
+    elif len(ash) == 3 and bsh == ash[1:]:
+        rule = lambda g: (g, _fold(g) if b.requires_grad else None)
     else:
         raise ValueError(f"add shape mismatch: {ash} + {bsh}")
     return _emit((a, b), a.data + b.data, rule)
@@ -225,9 +287,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     if ash == bsh:
         rule = lambda g: (g * bd, g * ad)
     elif _is_scalar_shape(bsh):
-        rule = lambda g: (g * bd, (g * ad).sum().reshape(bsh))
+        rule = lambda g: (g * bd, _scalar_grad(g * ad, bsh))
     elif _is_scalar_shape(ash):
-        rule = lambda g: ((g * bd).sum().reshape(ash), g * ad)
+        rule = lambda g: (_scalar_grad(g * bd, ash), g * ad)
     else:
         raise ValueError(f"mul shape mismatch: {ash} * {bsh}")
     return _emit((a, b), ad * bd, rule)
@@ -254,7 +316,7 @@ def relu(x: Tensor) -> Tensor:
 
 
 def softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise softmax of a 2-D tensor or of each head of a stack,
+    """Row-wise softmax of a 2-D tensor or of each matrix of a stack,
     stabilized by row-max subtraction."""
     _check_matrix_or_stack(x, "softmax_rows")
     z = x.data
@@ -268,56 +330,70 @@ def softmax_rows(x: Tensor) -> Tensor:
 
 
 def sum_all(x: Tensor) -> Tensor:
-    """Sum of all elements, as a scalar tensor."""
+    """Sum of all elements in index order, as a scalar tensor: a running
+    total, so a batch's per-sentence losses add up exactly as when added one
+    sentence at a time."""
     shape = x.data.shape
+    flat = x.data.reshape(-1)
 
     def rule(g):
         return (np.broadcast_to(g, shape).copy(),)
 
-    return _emit((x,), x.data.sum(), rule)
+    return _emit((x,), np.cumsum(flat)[-1] if flat.size else flat.dtype.type(0), rule)
 
 
 def stack(parts: Sequence[Tensor]) -> Tensor:
-    """Stack equal-shape 2-D tensors along a new leading (head) axis."""
+    """Stack equal-shape matrices, or equal-shape batches of matrices, along
+    a new (head) axis in front of the last two: (..., rows, cols) parts give
+    (..., len(parts), rows, cols)."""
     parts = tuple(parts)
     if not parts:
         raise ValueError("stack needs at least one tensor")
     _check_same_dtype(*parts)
     shape = parts[0].data.shape
-    if len(shape) != 2 or any(p.data.shape != shape for p in parts):
-        raise ValueError(f"stack needs equal 2-D shapes, got {[p.data.shape for p in parts]}")
+    if len(shape) < 2 or any(p.data.shape != shape for p in parts):
+        raise ValueError(f"stack needs equal shapes of 2 or more axes, got {[p.data.shape for p in parts]}")
 
     def rule(g):
-        return tuple(g)
+        return tuple(g[..., i, :, :] for i in range(len(parts)))
 
-    return _emit(parts, np.stack([p.data for p in parts]), rule)
+    return _emit(parts, np.stack([p.data for p in parts], axis=-3), rule)
 
 
 def merge_heads(x: Tensor) -> Tensor:
-    """(heads, rows, width) -> (rows, heads * width): head i's matrix becomes
-    columns i*width .. (i+1)*width - 1, as in the multi-head concatenation."""
-    if x.data.ndim != 3:
-        raise ValueError(f"merge_heads expects a (heads, rows, width) stack, got shape {x.data.shape}")
-    h, n, w = x.data.shape
+    """(..., heads, rows, width) -> (..., rows, heads * width): head i's
+    matrix becomes columns i*width .. (i+1)*width - 1, as in the multi-head
+    concatenation."""
+    if x.data.ndim < 3:
+        raise ValueError(f"merge_heads expects a (..., heads, rows, width) stack, got shape {x.data.shape}")
+    *lead, h, n, w = x.data.shape
 
     def rule(g):
-        return (np.ascontiguousarray(g.reshape(n, h, w).transpose(1, 0, 2)),)
+        return (np.ascontiguousarray(np.swapaxes(g.reshape(*lead, n, h, w), -3, -2)),)
 
-    return _emit((x,), x.data.transpose(1, 0, 2).reshape(n, h * w), rule)
+    return _emit((x,), np.swapaxes(x.data, -3, -2).reshape(*lead, n, h * w), rule)
 
 
 def pick_rows(table: Tensor, ids) -> Tensor:
-    """Gather rows of a 2-D table by integer index (embedding lookup)."""
+    """Gather rows of a 2-D table by integer index (embedding lookup); 1-D
+    ids give (n, cols), a (B, n) batch of ids gives (B, n, cols)."""
     idx = np.asarray(ids, dtype=np.int64)
-    if idx.ndim != 1 or table.data.ndim != 2:
-        raise ValueError("pick_rows expects a 2-D table and 1-D indices")
+    if idx.ndim not in (1, 2) or table.data.ndim != 2:
+        raise ValueError("pick_rows expects a 2-D table and 1-D or (batch, n) indices")
     if idx.size and (idx.min() < 0 or idx.max() >= table.data.shape[0]):
         raise ValueError(f"row index out of range for table with {table.data.shape[0]} rows")
     td = table.data
 
     def rule(g):
         dt = np.zeros_like(td)
-        np.add.at(dt, idx, g)
+        if idx.ndim == 1:
+            np.add.at(dt, idx, g)
+            return (dt,)
+        # per-sentence row sums over the rows the batch uses, then the fold
+        rows, where = np.unique(idx, return_inverse=True)
+        per = np.zeros((idx.shape[0], rows.size, td.shape[1]), dtype=td.dtype)
+        np.add.at(per, (np.arange(idx.shape[0])[:, None], where.reshape(idx.shape)), g)
+        dt[rows] = _fold(per)
         return (dt,)
 
     return _emit((table,), td[idx], rule)
@@ -325,9 +401,10 @@ def pick_rows(table: Tensor, ids) -> Tensor:
 
 def masked_fill(x: Tensor, keep, fill: float) -> Tensor:
     """Replace positions where ``keep`` is False with ``fill`` (e.g. -inf).
-    A 2-D ``keep`` applies to every head of a (heads, rows, cols) stack."""
+    ``keep`` may be any shape that broadcasts to the tensor's, e.g. one
+    (rows, cols) mask for every head of a stack."""
     keep = np.asarray(keep, dtype=bool)
-    if keep.shape != x.data.shape and not (x.data.ndim == 3 and keep.shape == x.data.shape[1:]):
+    if keep.ndim > x.data.ndim or np.broadcast_shapes(keep.shape, x.data.shape) != x.data.shape:
         raise ValueError(f"mask shape {keep.shape} does not match tensor shape {x.data.shape}")
 
     def rule(g):
@@ -337,28 +414,30 @@ def masked_fill(x: Tensor, keep, fill: float) -> Tensor:
 
 
 def layernorm_rows(x: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize each row to zero mean / unit population variance, then apply
-    an affine gain and shift over the feature axis."""
+    """Normalize each row of an (n, d) tensor or of each sentence of a
+    (B, n, d) batch to zero mean / unit population variance, then apply an
+    affine gain and shift over the feature axis."""
     _check_same_dtype(x, gain, shift)
-    if x.data.ndim != 2 or gain.data.shape != (x.data.shape[1],) or shift.data.shape != (x.data.shape[1],):
+    d = x.data.shape[-1]
+    if x.data.ndim not in (2, 3) or gain.data.shape != (d,) or shift.data.shape != (d,):
         raise ValueError(
             f"layernorm shapes: x {x.data.shape}, gain {gain.data.shape}, shift {shift.data.shape}"
         )
     if eps <= 0:
         raise ValueError("epsilon must be positive")
-    n = x.data.shape[1]
-    mu = x.data.mean(axis=1, keepdims=True)
-    var = ((x.data - mu) ** 2).mean(axis=1, keepdims=True)
+    mu = x.data.mean(axis=-1, keepdims=True)
+    var = ((x.data - mu) ** 2).mean(axis=-1, keepdims=True)
     std = np.sqrt(var + x.data.dtype.type(eps))
     xhat = (x.data - mu) / std
     gd = gain.data
+    fold = _fold if x.data.ndim == 3 else (lambda c: c)
 
     def rule(g):
-        dgain = (g * xhat).sum(axis=0)
-        dshift = g.sum(axis=0)
+        dgain = fold((g * xhat).sum(axis=-2))
+        dshift = fold(g.sum(axis=-2))
         dxhat = g * gd
         dx = (
-            dxhat - dxhat.mean(axis=1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)
+            dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
         ) / std
         return dx, dgain, dshift
 
@@ -369,37 +448,69 @@ def masked_cross_entropy(logits: Tensor, targets, active) -> Tensor:
     """Mean token-level cross-entropy of ``logits`` rows against integer
     ``targets``, averaged over rows where ``active`` is True.
 
-    Uses a stable log-softmax; raises if every position is masked out.
+    (m, vocab) logits give a scalar; (B, m, vocab) logits give the (B,)
+    vector of per-sentence means. Uses a stable log-softmax; raises if every
+    position of a sentence is masked out.
     """
-    if logits.data.ndim != 2:
-        raise ValueError(f"logits must be 2-D, got shape {logits.data.shape}")
-    m, v = logits.data.shape
+    if logits.data.ndim not in (2, 3):
+        raise ValueError(f"logits must be 2-D or (batch, rows, vocab), got shape {logits.data.shape}")
+    *rows_shape, v = logits.data.shape
     tgt = np.asarray(targets, dtype=np.int64)
     act = np.asarray(active, dtype=bool)
-    if tgt.shape != (m,) or act.shape != (m,):
-        raise ValueError(f"targets/mask must have shape ({m},)")
+    if tgt.shape != tuple(rows_shape) or act.shape != tuple(rows_shape):
+        raise ValueError(f"targets/mask must have shape {tuple(rows_shape)}")
     if tgt.size and (tgt.min() < 0 or tgt.max() >= v):
         raise ValueError(f"target id out of range for vocabulary of {v}")
-    n_active = int(act.sum())
-    if n_active == 0:
+    z = logits.data
+    n_active = act.sum(axis=-1).astype(z.dtype)
+    if not n_active.all():
         raise ValueError("cross-entropy over a fully masked target")
 
-    z = logits.data
-    zmax = z.max(axis=1, keepdims=True)
+    zmax = z.max(axis=-1, keepdims=True)
     e = np.exp(z - zmax)
-    se = e.sum(axis=1, keepdims=True)
+    se = e.sum(axis=-1, keepdims=True)
     logp = (z - zmax) - np.log(se)
-    rows = np.arange(m)
-    nll = -logp[rows, tgt]
-    value = (nll * act).sum() / z.dtype.type(n_active)
+    nll = -np.take_along_axis(logp, tgt[..., None], axis=-1)[..., 0]
+    value = (nll * act).sum(axis=-1) / n_active
 
     def rule(g):
         dz = e / se
-        dz[rows, tgt] -= 1.0
-        dz *= act[:, None] / z.dtype.type(n_active)
-        return (dz * g,)
+        dz[np.arange(v) == tgt[..., None]] -= 1.0
+        dz *= act[..., None] / n_active[..., None, None]
+        return (dz * g[..., None, None],)
 
     return _emit((logits,), np.asarray(value, dtype=z.dtype), rule)
+
+
+def gated_heads(terms: Sequence[tuple[Sequence[Tensor], np.ndarray]]) -> Tensor:
+    """Sum over ``terms`` of gains[h] * table[..., h, :, :]: per-head scalar
+    gains times constant tables shaped (..., heads, rows, cols), where a
+    table's head axis may be 1 and shared by every head.
+
+    With a leading batch axis each gain's gradient is its per-sentence sum,
+    folded in tape order.
+    """
+    gains = tuple(g for gs, _ in terms for g in gs)
+    dtype = _check_same_dtype(*gains)
+    if any(g.data.shape != () for g in gains):
+        raise ValueError("gated_heads takes scalar gains")
+    heads = len(terms[0][0])
+    out = None
+    for gs, table in terms:
+        if len(gs) != heads or table.ndim < 3 or table.shape[-3] not in (1, heads):
+            raise ValueError(f"{len(gs)} gains for a table of shape {table.shape}, expected {heads} heads")
+        vec = np.array([g.data for g in gs], dtype=dtype).reshape(heads, 1, 1)
+        term = vec * table
+        out = term if out is None else out + term
+
+    def rule(g):
+        grads = []
+        for _, table in terms:
+            per = (g * table).reshape(*g.shape[:-2], -1).sum(axis=-1)
+            grads.extend(_fold(per) if per.ndim == 2 else per)
+        return tuple(grads)
+
+    return _emit(gains, out, rule)
 
 
 def finite_diff_check(f, x: Tensor, step: float = 1e-5) -> float:

@@ -26,7 +26,7 @@ import numpy as np
 from .corpus import ParallelCorpus, Vocabulary, decode, make_batches
 from .metrics import corpus_bleu
 from .model import KTransformer, ModelConfig
-from .tensor import GradientTape, Tensor, add, backward, scale
+from .tensor import GradientTape, Tensor, backward, scale, sum_all
 
 CHECKPOINT_MAGIC = b"KTRX0001"
 FORMAT_VERSION = 1
@@ -233,11 +233,30 @@ class LoadedCheckpoint:
     profile_tgt: str | None
 
 
+def _embedded_vocab(manifest: dict, key: str, size: int) -> Vocabulary | None:
+    """The manifest's vocabulary under ``key``, which must be valid and hold
+    exactly the model's ``size`` ids; None when the checkpoint has none."""
+    tokens = manifest.get(key)
+    if tokens is None:
+        return None
+    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+        raise CheckpointError(f"invalid {key} in checkpoint: not a list of token strings")
+    try:
+        vocab = Vocabulary(tokens)
+    except ValueError as e:
+        raise CheckpointError(f"invalid {key} in checkpoint: {e}") from e
+    if len(vocab) != size:
+        raise CheckpointError(f"{key} in checkpoint has {len(vocab)} ids, the model has {size}")
+    return vocab
+
+
 def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
     """Rebuild model, optimizer state, and vocabularies from a checkpoint.
 
-    Verifies the magic, format version, manifest/buffer offsets, and the
-    buffer hash, so any truncation or corruption is an explicit error."""
+    Verifies the magic, format version, manifest/buffer offsets, the buffer
+    hash, and that each embedded vocabulary is valid and matches the model's
+    vocabulary size, so any truncation, corruption or mismatch is an
+    explicit error."""
     try:
         data = Path(path).read_bytes()
     except OSError as e:
@@ -298,13 +317,11 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
     if offset != len(buffer):
         raise CheckpointError(f"checkpoint buffer has {len(buffer) - offset} unaccounted bytes")
 
-    vs = Vocabulary(manifest["vocab_src"]) if manifest.get("vocab_src") is not None else None
-    vt = Vocabulary(manifest["vocab_tgt"]) if manifest.get("vocab_tgt") is not None else None
     return LoadedCheckpoint(
         model=model,
         state=state,
-        vocab_src=vs,
-        vocab_tgt=vt,
+        vocab_src=_embedded_vocab(manifest, "vocab_src", config.vocab_src),
+        vocab_tgt=_embedded_vocab(manifest, "vocab_tgt", config.vocab_tgt),
         profile_src=manifest.get("profile_src"),
         profile_tgt=manifest.get("profile_tgt"),
     )
@@ -353,8 +370,9 @@ def train(
     config: TrainConfig,
     val_corpus: ParallelCorpus | None = None,
 ) -> list[LogRow]:
-    """Teacher-forced training: seeded epoch shuffling, per-batch gradient
-    accumulation over sentences, clipping, Adam, periodic validation BLEU.
+    """Teacher-forced training: seeded epoch shuffling, one taped pass over
+    each padded batch, clipping, Adam, periodic validation BLEU. The step's
+    loss is the mean of the per-sentence losses, summed from sentence 0.
 
     Writes train_log.csv (append-only), final.ckpt (initial state first, so
     a later divergence abort always leaves the last good parameters there),
@@ -392,18 +410,15 @@ def train(
                 t0 = time.perf_counter()
                 rng = np.random.default_rng([config.seed, step])
                 with GradientTape() as tape:
-                    total = None
-                    for b in range(len(batch)):
-                        pair_loss = model.sequence_loss(
-                            batch.src_ids[b],
-                            batch.tgt_ids[b],
-                            src_mask=batch.src_mask[b],
-                            tgt_mask=batch.tgt_mask[b],
-                            training=True,
-                            rng=rng,
-                        )
-                        total = pair_loss if total is None else add(total, pair_loss)
-                    mean_loss = scale(total, 1.0 / len(batch))
+                    losses = model.sequence_loss(
+                        batch.src_ids,
+                        batch.tgt_ids,
+                        src_mask=batch.src_mask,
+                        tgt_mask=batch.tgt_mask,
+                        training=True,
+                        rng=rng,
+                    )
+                    mean_loss = scale(sum_all(losses), 1.0 / len(batch))
                 loss_val = float(mean_loss.data)
                 if not math.isfinite(loss_val):
                     save_checkpoint(model, final_path, state=state, **meta)

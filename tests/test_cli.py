@@ -256,6 +256,35 @@ def test_translate_checkpoint_without_vocab_is_data_error(workdir):
     assert rc == EXIT_DATA
 
 
+@pytest.mark.parametrize("tokens", [["a", "b", "b", "c"], ["a", "b", "c"]])
+def test_translate_checkpoint_with_bad_vocab_is_data_error(workdir, tokens):
+    # a duplicate token, or fewer tokens than the model's embedding rows
+    import json
+    import struct
+
+    from ktransformer.corpus import Vocabulary
+    from ktransformer.model import KTransformer, ModelConfig
+    from ktransformer.trainer import save_checkpoint
+
+    model = KTransformer(ModelConfig(vocab_src=8, vocab_tgt=8, d_model=8, heads=2, d_ff=16,
+                                     layers_enc=1, layers_dec=1, max_len=10))
+    path = workdir / "v.ckpt"
+    vocab = Vocabulary(["a", "b", "c", "d"])
+    save_checkpoint(model, path, vocab_src=vocab, vocab_tgt=vocab)
+    raw = path.read_bytes()
+    (mlen,) = struct.unpack("<Q", raw[8:16])
+    manifest = json.loads(raw[16 : 16 + mlen])
+    manifest["vocab_tgt"] = tokens
+    blob = json.dumps(manifest).encode("utf-8")
+    path.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + mlen :])
+    inp = workdir / "in.txt"
+    inp.write_text("a b\n", encoding="utf-8")
+    out = workdir / "o.txt"
+    rc = main(["translate", "--checkpoint", str(path), "--input", str(inp), "--output", str(out)])
+    assert rc == EXIT_DATA
+    assert not out.exists()
+
+
 def test_translate_past_positional_table_is_usage_error(workdir):
     from ktransformer.corpus import Vocabulary
     from ktransformer.model import KTransformer, ModelConfig

@@ -201,7 +201,7 @@ def test_multi_head_bias_count_checked():
     mha = MultiHeadAttention(rng, d_model=8, n_heads=2, dtype=np.float64)
     x = t64(rng.normal(size=(3, 8)))
     with pytest.raises(ValueError):
-        multi_head_attention(x, x, x, mha, per_head_bias=[t64(np.zeros((3, 3)))])
+        multi_head_attention(x, x, x, mha, bias=T.stack([t64(np.zeros((3, 3)))]))
 
 
 def test_multi_head_zero_biases_match_absent():
@@ -209,8 +209,8 @@ def test_multi_head_zero_biases_match_absent():
     mha = MultiHeadAttention(rng, d_model=8, n_heads=2, dtype=np.float64)
     x = t64(rng.normal(size=(4, 8)))
     plain = multi_head_attention(x, x, x, mha)
-    zeros = [t64(np.zeros((4, 4))), t64(np.zeros((4, 4)))]
-    biased = multi_head_attention(x, x, x, mha, per_head_bias=zeros)
+    zeros = t64(np.zeros((2, 4, 4)))
+    biased = multi_head_attention(x, x, x, mha, bias=zeros)
     assert plain.data.tobytes() == biased.data.tobytes()
 
 
@@ -294,8 +294,11 @@ def test_multi_head_matches_per_head_reference_bytewise(n_heads, n_q, n_k, cross
         backward(loss, tape)
         return out.data.tobytes(), [t.grad.tobytes() if t.grad is not None else None for t in leaves]
 
+    def stacked(q_in, k_in, v_in, mha, biases, keep):
+        return multi_head_attention(q_in, k_in, v_in, mha, bias=T.stack(biases) if biases else None, keep=keep)
+
     want_out, want_grads = run(_per_head_reference)
-    got_out, got_grads = run(multi_head_attention)
+    got_out, got_grads = run(stacked)
     assert got_out == want_out
     assert (got_grads[1] is not None) == cross
     assert got_grads == want_grads

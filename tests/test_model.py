@@ -146,6 +146,31 @@ def test_bias_gradient_reaches_only_gains():
     assert emb.grad is None
 
 
+@pytest.mark.parametrize("mode", ["same_cluster", "centroid_affinity", "both"])
+@pytest.mark.parametrize("precision", ["f64", "f32"])
+def test_one_bias_op_equals_single_head_cluster_bias(mode, precision):
+    # the encoder's one bias op per layer, for a padded batch, against
+    # cluster_bias head by head and sentence by sentence
+    m = KTransformer(small_config(cluster_mode=mode, clusters_k=3, heads=4, precision=precision))
+    layer = m.encoder[0]
+    for i, g in enumerate(layer.bias.gain_same + layer.bias.gain_affinity):
+        g.data = np.asarray(0.4 * (i + 1) * (-1) ** i, dtype=g.data.dtype)
+    ids = np.array([[4, 5, 6, 7, 8, 9], [9, 4, PAD_ID, PAD_ID, PAD_ID, PAD_ID], [10, 11, 10, 4, PAD_ID, PAD_ID]])
+    mask = ids != PAD_ID
+    emb = m.src_embed.data[ids]
+    results, *tables = m._cluster_bias_tables(emb, mask)
+    gains = (layer.bias.gain_same, layer.bias.gain_affinity)
+    terms = [(g, t) for g, t in zip(gains, tables) if t is not None]
+    bias = T.gated_heads(terms).data
+    assert bias.shape == (3, 4, 6, 6)
+    for b, n_real in enumerate(mask.sum(axis=1)):
+        real = Tensor(emb[b, :n_real].copy())
+        assert np.array_equal(results[b].assignments, m.cluster_source(real).assignments)
+        for h in range(4):
+            want = cluster_bias(results[b], real, h, layer.bias, mode, total_len=6).data
+            assert bias[b, h].tobytes() == want.tobytes()
+
+
 def test_bias_head_out_of_range():
     res, emb = planted_result()
     params = ClusterBiasParams(1, np.float64)

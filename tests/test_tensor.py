@@ -58,8 +58,12 @@ def test_matmul_shape_mismatch():
         T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
     with pytest.raises(ValueError):
         T.matmul(Tensor(np.zeros((2, 2, 3))), Tensor(np.zeros((3, 3, 4))))
+    # a batch times one shared weight is supported; a matrix times a stack,
+    # or a batch whose inner width misses the weight's, is not
     with pytest.raises(ValueError):
-        T.matmul(Tensor(np.zeros((2, 2, 3))), Tensor(np.zeros((3, 4))))
+        T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3, 4))))
+    with pytest.raises(ValueError):
+        T.matmul(Tensor(np.zeros((2, 2, 3))), Tensor(np.zeros((4, 5))))
 
 
 def test_softmax_hand_case():
@@ -444,3 +448,132 @@ def test_default_dtype_is_f32():
     assert T.dtype_of("f64") == np.float64
     with pytest.raises(ValueError):
         T.dtype_of("f16")
+
+
+# ---------------------------------------------------------------- batches
+#
+# A batch of B sentences must give every sentence the floats it gets alone,
+# and a parameter shared by the batch the fold of the per-sentence
+# gradients, last sentence first. B = 11 is above the 8 at which numpy's
+# 1-D sums turn pairwise, so a fold that went through one would show.
+
+
+def _batch_cases(dtype):
+    rng = np.random.default_rng(30)
+    b, n = 11, 4
+
+    def shared(*shape):
+        return Tensor(rng.normal(size=shape), requires_grad=True, dtype=dtype)
+
+    def taking(data, op):
+        def make(rows):
+            x = Tensor(data[rows], requires_grad=True, dtype=dtype)
+            return op(x), x
+        return make
+
+    x5, x1, logits = rng.normal(size=(b, n, 5)), rng.normal(size=(b, n, 1)), rng.normal(size=(b, n, 6))
+    w, bias, bias1, scalar, table, gain, shift, emb = (
+        shared(5, 3), shared(5), shared(1), shared(), shared(n, 5), shared(5), shared(5), shared(7, 5)
+    )
+    ids = rng.integers(0, 7, size=(b, n))
+    targets = rng.integers(0, 6, size=(b, n))
+    active = np.arange(n) < rng.integers(1, n + 1, size=(b, 1))
+    gains = [[Tensor(v, requires_grad=True, dtype=dtype) for v in rng.normal(size=2)] for _ in range(2)]
+    tables = [rng.normal(size=(b, 1, 3, 3)).astype(dtype), rng.normal(size=(b, 2, 3, 3)).astype(dtype)]
+    return {
+        "matmul_shared_weight": (taking(x5, lambda x: T.matmul(x, w)), [w]),
+        "row_bias": (taking(x5, lambda x: T.add(x, bias)), [bias]),
+        "row_bias_width_1": (taking(x1, lambda x: T.add(x, bias1)), [bias1]),
+        "shared_table": (taking(x5, lambda x: T.add(x, table)), [table]),
+        "scalar_add": (taking(x5, lambda x: T.add(x, scalar)), [scalar]),
+        "scalar_mul": (taking(x5, lambda x: T.mul(scalar, x)), [scalar]),
+        "layernorm": (taking(x5, lambda x: T.layernorm_rows(x, gain, shift)), [gain, shift]),
+        "pick_rows": (lambda rows: (T.pick_rows(emb, ids[rows]), None), [emb]),
+        "cross_entropy": (
+            lambda rows: (lambda x: (T.masked_cross_entropy(x, targets[rows], active[rows]), x))(
+                Tensor(logits[rows], requires_grad=True, dtype=dtype)),
+            [],
+        ),
+        "gated_heads": (
+            lambda rows: (T.gated_heads([(g, t[rows]) for g, t in zip(gains, tables)]), None),
+            [g for gs in gains for g in gs],
+        ),
+    }, b
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize(
+    "case",
+    ["matmul_shared_weight", "row_bias", "row_bias_width_1", "scalar_add", "scalar_mul", "shared_table", "layernorm",
+     "pick_rows", "cross_entropy", "gated_heads"],
+)
+def test_batched_op_equals_per_sentence_ops_and_fold(case, dtype):
+    cases, b = _batch_cases(dtype)
+    make, shared = cases[case]
+    rng = np.random.default_rng(31)
+
+    def run(rows, c):
+        for p in shared:
+            p.grad = None
+        with GradientTape() as tape:
+            out, x = make(rows)
+            loss = T.sum_all(T.mul(out, Tensor(c, dtype=dtype)))
+        backward(loss, tape)
+        return out.data, None if x is None else x.grad, [np.asarray(p.grad) for p in shared]
+
+    c = rng.normal(size=make(slice(None))[0].data.shape)
+    want_out, want_x, want_shared = run(slice(None), c)
+    per_sentence = []
+    for i in range(b):
+        out, x_grad, grads = run(i, c[i])
+        assert np.asarray(out).tobytes() == np.asarray(want_out[i]).tobytes()
+        if x_grad is not None:
+            assert x_grad.tobytes() == want_x[i].tobytes()
+        per_sentence.append(grads)
+    for j in range(len(shared)):
+        folded = per_sentence[-1][j]
+        for grads in reversed(per_sentence[:-1]):
+            folded = folded + grads[j]
+        assert np.asarray(folded).tobytes() == want_shared[j].tobytes()
+
+
+def test_weight_grad_fold_is_the_same_across_blocks(monkeypatch):
+    # blocks of a few sentences carry the running total: any block size
+    # gives the fold's bytes
+    rng = np.random.default_rng(32)
+    x = rng.normal(size=(9, 3, 4)).astype(np.float32)
+    g = rng.normal(size=(9, 3, 5)).astype(np.float32)
+    whole = T._fold_weight_grad(x, g)
+    for block in (20, 40, 60):
+        monkeypatch.setattr(T, "_FOLD_BLOCK", block)
+        assert T._fold_weight_grad(x, g).tobytes() == whole.tobytes()
+    want = x[-1].T @ g[-1]
+    for i in range(7, -1, -1):
+        want = want + x[i].T @ g[i]
+    assert whole.tobytes() == want.tobytes()
+
+
+def test_sum_all_adds_in_index_order():
+    v = np.array([1e8, 1.0, -1e8, 1.0] * 3, dtype=np.float32)
+    want = v[0]
+    for x in v[1:]:
+        want = want + x
+    assert T.sum_all(Tensor(v)).data.tobytes() == np.asarray(want).tobytes()
+
+
+def test_fd_batched_ops():
+    rng = np.random.default_rng(33)
+    w = Tensor(rng.normal(size=(4, 3)), dtype=np.float64)
+    x = rng.normal(size=(3, 2, 4))
+    c = Tensor(rng.normal(size=(3, 2, 3)), dtype=np.float64)
+    fd(lambda t: T.sum_all(T.mul(T.matmul(t, w), c)), x)
+    fd(lambda t: T.sum_all(T.mul(T.matmul(Tensor(x, dtype=np.float64), t), c)), w.data)
+    gain, shift = rng.normal(size=4), rng.normal(size=4)
+    cl = Tensor(rng.normal(size=(3, 2, 4)), dtype=np.float64)
+    as64 = lambda a: Tensor(a, dtype=np.float64)
+    fd(lambda t: T.sum_all(T.mul(T.layernorm_rows(t, as64(gain), as64(shift)), cl)), x)
+    fd(lambda t: T.sum_all(T.mul(T.layernorm_rows(as64(x), t, as64(shift)), cl)), gain)
+    fd(lambda t: T.sum_all(T.mul(T.layernorm_rows(as64(x), as64(gain), t), cl)), shift)
+    tables = rng.normal(size=(3, 2, 2, 2))
+    ch = Tensor(rng.normal(size=(3, 2, 2, 2)), dtype=np.float64)
+    fd(lambda t: T.sum_all(T.mul(T.gated_heads([([t, as64(0.5)], tables)]), ch)), np.array(0.3))

@@ -175,7 +175,7 @@ def test_clip_zero_cap_disables():
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):
-    model = tiny_model()
+    model = tiny_model(vocab_src=6, vocab_tgt=5)  # the sizes of the vocabularies saved with it
     params = model.parameters()
     state = AdamState(params, lr=0.01)
     rng = np.random.default_rng(1)
@@ -199,6 +199,37 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     assert loaded.vocab_tgt.regular_tokens() == ["x"]
     assert loaded.profile_src == "space_tokenized"
     assert loaded.profile_tgt == "char_tokenized"
+
+
+def _rewrite_manifest(path, **changes):
+    """Replace manifest entries of a saved checkpoint, keeping its buffer."""
+    raw = path.read_bytes()
+    (mlen,) = struct.unpack("<Q", raw[8:16])
+    manifest = json.loads(raw[16 : 16 + mlen])
+    manifest.update(changes)
+    blob = json.dumps(manifest).encode("utf-8")
+    path.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + mlen :])
+
+
+@pytest.mark.parametrize(
+    "vocab_src, match",
+    [
+        (["a", "b", "a", "c", "d", "e"], "duplicate"),
+        (["a", "b", "<PAD>", "c", "d", "e"], "special"),
+        (["a", "b", "c", "d", "e"], "has 9 ids, the model has 10"),
+        ([1, 2, 3, 4, 5, 6], "token strings"),
+    ],
+)
+def test_checkpoint_with_bad_vocabulary_is_checkpoint_error(tmp_path, vocab_src, match):
+    from ktransformer.corpus import Vocabulary
+
+    path = tmp_path / "v.ckpt"
+    words = ["a", "b", "c", "d", "e", "f"]
+    save_checkpoint(tiny_model(), path, vocab_src=Vocabulary(words), vocab_tgt=Vocabulary(words))
+    assert len(load_checkpoint(path).vocab_src) == 10
+    _rewrite_manifest(path, vocab_src=vocab_src)
+    with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(path)
 
 
 def test_checkpoint_without_optimizer_state(tmp_path):
@@ -411,3 +442,162 @@ def test_corpus_greedy_bleu_in_unit_range():
     model = tiny_model(vocab_src=len(vs), vocab_tgt=len(vt))
     score = corpus_greedy_bleu(model, corpus, vs, vt)
     assert score is None or 0.0 <= score <= 1.0
+
+
+# ------------------------------------------------------------ golden floats
+
+# sha256 digests recorded with the sentence-by-sentence training step that
+# the batched step replaced; the batched step must reproduce every byte.
+GOLDEN = {
+    "f64": (
+        "92a062860d8aa3f5a68608c96ffe88b32448631b40485d211fca18098d5abe96",
+        "a2d94a565f0fcedb12d648e336619fb0bebe414c58280014474a948c81b81e0d",
+    ),
+    "f32": (
+        "0cfc5cbaf781a432d694fe5386270f8a067f5c77460df4f31d22745b7203b8cf",
+        "6d58e7522a2286c83e3f3b62d309cd6fe9b0c0a657a951cf039aecc3d5b6bb2d",
+    ),
+}
+
+
+def _golden_run(tmp_path, precision):
+    """Ten training steps on a tiny mixed-length task with padding, dropout
+    and non-zero cluster gates; returns the digests of the ten losses and of
+    every parameter gradient of step 1 (clipping off, so they are raw)."""
+    import hashlib
+
+    from ktransformer import trainer
+    from ktransformer.corpus import ParallelCorpus
+
+    rng = np.random.default_rng(11)
+    words = [f"w{i}" for i in range(9)]
+    src = [[words[int(rng.integers(0, 9))] for _ in range(int(rng.integers(1, 8)))] for _ in range(20)]
+    tgt = [s[::-1] + s[:1] for s in src]
+    corpus = ParallelCorpus(src, tgt, "space_tokenized", "space_tokenized")
+    vs, vt = vocab_pair(corpus)
+    model = tiny_model(vocab_src=len(vs), vocab_tgt=len(vt), layers_enc=2, dropout=0.1, clusters_k=3,
+                       cluster_mode="both", precision=precision)
+    gates = [p for name, p in model.parameters().items() if ".bias." in name]
+    for i, p in enumerate(gates):
+        p.data = np.asarray(0.25 * (i + 1) * (-1) ** i, dtype=p.data.dtype)
+
+    seen = []
+    real_adam_step = trainer.adam_step
+
+    def recording_adam_step(params, grads, state, lr_scale=1.0):
+        if not seen:
+            h = hashlib.sha256()
+            for name in params:
+                g = np.asarray(grads[name])
+                h.update(f"{name}:{g.dtype.str}:{g.shape}".encode())
+                h.update(np.ascontiguousarray(g).tobytes())
+            seen.append(h.hexdigest())
+        return real_adam_step(params, grads, state, lr_scale=lr_scale)
+
+    trainer.adam_step = recording_adam_step
+    try:
+        cfg = TrainConfig(out_dir=str(tmp_path), lr=3e-3, max_steps=10, batch_size=8, seed=0, grad_clip=0.0)
+        rows = train(model, corpus, vs, vt, cfg)
+    finally:
+        trainer.adam_step = real_adam_step
+    losses = np.array([r.loss for r in rows], dtype=np.float64)
+    assert len(rows) == 10 and np.all(np.isfinite(losses))
+    return hashlib.sha256(losses.tobytes()).hexdigest(), seen[0]
+
+
+@pytest.mark.parametrize("precision", ["f64", "f32"])
+def test_training_floats_match_golden_digests(tmp_path, precision):
+    assert _golden_run(tmp_path, precision) == GOLDEN[precision]
+
+
+def _batch_of_eight(precision):
+    from ktransformer.corpus import ParallelCorpus, make_batches
+
+    rng = np.random.default_rng(4)
+    words = [f"w{i}" for i in range(9)]
+    src = [[words[int(rng.integers(0, 9))] for _ in range(n)] for n in (1, 6, 3, 7, 2, 5, 7, 4)]
+    corpus = ParallelCorpus(src, [s[::-1] + s[:1] for s in src], "space_tokenized", "space_tokenized")
+    vs, vt = vocab_pair(corpus)
+    model = tiny_model(vocab_src=len(vs), vocab_tgt=len(vt), layers_enc=2, dropout=0.1, clusters_k=3,
+                       cluster_mode="both", precision=precision)
+    for i, p in enumerate(p for name, p in model.parameters().items() if ".bias." in name):
+        p.data = np.asarray(0.3 * (i + 1) * (-1) ** i, dtype=p.data.dtype)
+    (batch,) = make_batches(corpus, vs, vt, 8, max_len=12, seed=0)
+    return model, batch
+
+
+def _step_loss(model, src, tgt, smask, tmask, rng, batch_size):
+    """The per-sentence losses over the given rows and the training step's
+    loss, as ``train`` forms it from all of a batch's rows."""
+    from ktransformer.tensor import scale, sum_all
+
+    losses = model.sequence_loss(src, tgt, src_mask=smask, tgt_mask=tmask, training=True, rng=rng)
+    return losses, scale(sum_all(losses), 1.0 / batch_size)
+
+
+@pytest.mark.parametrize("precision", ["f64", "f32"])
+def test_batched_step_equals_fold_of_batch_of_one_passes(precision):
+    # one batched pass against eight batch-of-one passes at the same padded
+    # width, drawing dropout from one generator in turn: the loss must be
+    # their left-to-right sum and every gradient their fold, last sentence
+    # first, byte for byte
+    from ktransformer.tensor import GradientTape, backward
+
+    model, batch = _batch_of_eight(precision)
+    params = model.parameters()
+    b = len(batch)
+    rng = np.random.default_rng([0, 0])
+    with GradientTape() as tape:
+        _, loss = _step_loss(model, batch.src_ids, batch.tgt_ids, batch.src_mask, batch.tgt_mask, rng, b)
+    backward(loss, tape)
+    want = {name: np.asarray(p.grad) for name, p in params.items()}
+    for p in params.values():
+        p.grad = None
+
+    rng = np.random.default_rng([0, 0])
+    total, per_sentence = None, []
+    for i in range(b):
+        rows = slice(i, i + 1)
+        with GradientTape() as tape:
+            one, step = _step_loss(model, batch.src_ids[rows], batch.tgt_ids[rows], batch.src_mask[rows],
+                                   batch.tgt_mask[rows], rng, b)
+        backward(step, tape)
+        total = one.data[0] if total is None else total + one.data[0]
+        per_sentence.append({name: np.asarray(p.grad) for name, p in params.items()})
+        for p in params.values():
+            p.grad = None
+    assert np.asarray(loss.data).tobytes() == np.asarray(total * total.dtype.type(1.0 / b)).tobytes()
+    for name in params:
+        folded = per_sentence[-1][name]
+        for grads in reversed(per_sentence[:-1]):
+            folded = folded + grads[name]
+        assert np.asarray(folded).tobytes() == want[name].tobytes(), name
+
+
+def test_step_tape_length_does_not_grow_with_batch_size(tmp_path):
+    # no per-sentence loop: a training step records as many ops for a batch
+    # of 8 as for a batch of 1
+    from ktransformer import trainer
+    from ktransformer.corpus import ParallelCorpus
+
+    rng = np.random.default_rng(4)
+    src = [[f"w{int(rng.integers(0, 9))}" for _ in range(int(rng.integers(1, 8)))] for _ in range(8)]
+    corpus = ParallelCorpus(src, [list(s) for s in src], "space_tokenized", "space_tokenized")
+    vs, vt = vocab_pair(corpus)
+    lengths = []
+    real_backward = trainer.backward
+
+    def recording_backward(loss, tape):
+        lengths.append(len(tape))
+        return real_backward(loss, tape)
+
+    trainer.backward = recording_backward
+    try:
+        for size in (1, 8):
+            model = tiny_model(vocab_src=len(vs), vocab_tgt=len(vt), layers_enc=2, dropout=0.1,
+                               cluster_mode="both")
+            cfg = TrainConfig(out_dir=str(tmp_path / f"b{size}"), max_steps=1, batch_size=size, seed=0)
+            train(model, corpus, vs, vt, cfg)
+    finally:
+        trainer.backward = real_backward
+    assert len(lengths) == 2 and lengths[0] == lengths[1]
