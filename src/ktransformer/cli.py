@@ -30,7 +30,7 @@ from .corpus import (
     retained_indices,
 )
 from .metrics import BucketRow, corpus_bleu, length_bucket_report
-from .model import KTransformer
+from .model import CLUSTER_MODES, KTransformer
 from .trainer import CheckpointError, DivergenceError, load_checkpoint, train
 
 EXIT_OK = 0
@@ -112,17 +112,16 @@ def cmd_train(args) -> int:
         if not sep:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         cfg.set_key(key.strip(), raw.strip())
-    if args.cluster_mode is not None:
-        cfg.cluster_mode = args.cluster_mode
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.max_steps is not None:
-        cfg.max_steps = args.max_steps
+    for key in ("cluster_mode", "seed", "max_steps"):  # flags that override the same-named keys
+        if getattr(args, key) is not None:
+            setattr(cfg, key, getattr(args, key))
     out_dir = _resolve_out_dir(args.out_dir, cfg.out_dir)
     cfg.out_dir = str(out_dir)
     for key in ("train_src", "train_tgt", "vocab_src", "vocab_tgt"):
         if not getattr(cfg, key):
             raise ConfigError(f"configuration key {key!r} must point at a preprocessed corpus file")
+    if not 0.0 <= cfg.val_fraction < 1.0:
+        raise ConfigError(f"val_fraction must be in [0, 1), got {cfg.val_fraction}")
 
     corpus = ParallelCorpus.from_token_files(
         cfg.train_src, cfg.train_tgt, profile_src=cfg.profile_src, profile_tgt=cfg.profile_tgt
@@ -334,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a model on a preprocessed corpus")
     p.add_argument("--config", help="key = value configuration file")
     p.add_argument("--set", action="append", metavar="KEY=VALUE", help="override one configuration key")
-    p.add_argument("--cluster-mode", choices=("off", "same_cluster", "centroid_affinity", "both"))
+    p.add_argument("--cluster-mode", choices=CLUSTER_MODES)
     p.add_argument("--seed", type=int)
     p.add_argument("--max-steps", type=int)
     p.add_argument("--out-dir", help=f"run directory (default: config, then ${RUN_DIR_ENV}, then ./run)")

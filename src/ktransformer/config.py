@@ -4,6 +4,10 @@ model hyperparameters, training schedule, corpus profiles, and file paths.
 Every key has a default; unknown keys are a hard error so typos cannot
 silently fall back to defaults. ``serialize`` and ``parse_text`` round-trip,
 which is what lets a run directory's echoed config reproduce the run.
+
+``ModelConfig`` and ``TrainConfig`` own the model and schedule defaults:
+``RunConfig`` reads each one from its owner, and ``to_model_config`` /
+``to_train_config`` copy the shared keys by name.
 """
 
 from __future__ import annotations
@@ -22,27 +26,27 @@ class ConfigError(Exception):
 @dataclass
 class RunConfig:
     # model
-    d_model: int = 512
-    heads: int = 8
-    d_ff: int = 2048
-    layers_enc: int = 2
-    layers_dec: int = 2
-    dropout: float = 0.1
-    max_len: int = 50
-    clusters_k: int = 4
-    cluster_mode: str = "off"
-    precision: str = "f32"
-    init_seed: int = 0
-    cluster_seed: int = 0
+    d_model: int = ModelConfig.d_model
+    heads: int = ModelConfig.heads
+    d_ff: int = ModelConfig.d_ff
+    layers_enc: int = ModelConfig.layers_enc
+    layers_dec: int = ModelConfig.layers_dec
+    dropout: float = ModelConfig.dropout
+    max_len: int = ModelConfig.max_len
+    clusters_k: int = ModelConfig.clusters_k
+    cluster_mode: str = ModelConfig.cluster_mode
+    precision: str = ModelConfig.precision
+    init_seed: int = ModelConfig.init_seed
+    cluster_seed: int = ModelConfig.cluster_seed
     # training
-    lr: float = 3e-4
-    warmup_steps: int = 0
-    max_steps: int = 100
-    batch_size: int = 16
-    val_interval: int = 0
+    lr: float = TrainConfig.lr
+    warmup_steps: int = TrainConfig.warmup_steps
+    max_steps: int = TrainConfig.max_steps
+    batch_size: int = TrainConfig.batch_size
+    val_interval: int = TrainConfig.val_interval
     val_fraction: float = 0.1
-    grad_clip: float = 1.0
-    seed: int = 0
+    grad_clip: float = TrainConfig.grad_clip
+    seed: int = TrainConfig.seed
     # corpus profiles
     profile_src: str = "space_tokenized"
     profile_tgt: str = "space_tokenized"
@@ -77,45 +81,28 @@ class RunConfig:
             out.append(f"{f.name} = {value!r}" if isinstance(value, float) else f"{f.name} = {value}")
         return "\n".join(out) + "\n"
 
+    def _shared(self, owner, *given: str) -> dict:
+        """This config's values for the fields of ``owner`` it has by the
+        same name, except the ``given`` ones, which the caller supplies."""
+        mine = {f.name for f in fields(self)}
+        return {f.name: getattr(self, f.name) for f in fields(owner) if f.name in mine and f.name not in given}
+
     def to_model_config(self, vocab_src_size: int, vocab_tgt_size: int) -> ModelConfig:
-        cfg = ModelConfig(
-            vocab_src=vocab_src_size,
-            vocab_tgt=vocab_tgt_size,
-            d_model=self.d_model,
-            heads=self.heads,
-            d_ff=self.d_ff,
-            layers_enc=self.layers_enc,
-            layers_dec=self.layers_dec,
-            dropout=self.dropout,
-            max_len=self.max_len,
-            clusters_k=self.clusters_k,
-            cluster_mode=self.cluster_mode,
-            precision=self.precision,
-            init_seed=self.init_seed,
-            cluster_seed=self.cluster_seed,
-        )
-        try:
-            cfg.validate()
-        except ValueError as e:
-            raise ConfigError(str(e)) from None
-        return cfg
+        # here vocab_src/vocab_tgt are vocabulary paths; in ModelConfig they are sizes
+        shared = self._shared(ModelConfig, "vocab_src", "vocab_tgt")
+        return _validated(ModelConfig(vocab_src=vocab_src_size, vocab_tgt=vocab_tgt_size, **shared))
 
     def to_train_config(self, out_dir: str | Path) -> TrainConfig:
-        cfg = TrainConfig(
-            out_dir=out_dir,
-            lr=self.lr,
-            warmup_steps=self.warmup_steps,
-            max_steps=self.max_steps,
-            batch_size=self.batch_size,
-            val_interval=self.val_interval,
-            grad_clip=self.grad_clip,
-            seed=self.seed,
-        )
-        try:
-            cfg.validate()
-        except ValueError as e:
-            raise ConfigError(str(e)) from None
-        return cfg
+        return _validated(TrainConfig(out_dir=out_dir, **self._shared(TrainConfig, "out_dir")))
+
+
+def _validated(cfg):
+    """``cfg`` once its ``validate()`` passes; its ValueError becomes a ConfigError."""
+    try:
+        cfg.validate()
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
+    return cfg
 
 
 def parse_text(text: str, base: RunConfig | None = None) -> RunConfig:

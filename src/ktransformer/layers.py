@@ -131,34 +131,30 @@ def scaled_dot_attention(
     return matmul(weights, v), weights
 
 
-class AttentionHead:
-    """Projection weights for a single attention head."""
-
-    def __init__(self, rng: np.random.Generator, d_model: int, d_k: int, dtype=np.float32):
-        self.wq = Tensor(glorot(rng, d_model, d_k, dtype), requires_grad=True)
-        self.wk = Tensor(glorot(rng, d_model, d_k, dtype), requires_grad=True)
-        self.wv = Tensor(glorot(rng, d_model, d_k, dtype), requires_grad=True)
-
-    def params(self) -> dict[str, Tensor]:
-        return {"wq": self.wq, "wk": self.wk, "wv": self.wv}
-
-
 class MultiHeadAttention:
-    """h independent heads of width d_model/h plus the output projection."""
+    """h heads of width d_k = d_model/h plus the output projection.
+
+    ``wq``, ``wk`` and ``wv`` are lists with one (d_model, d_k) projection
+    per head: head i's W_i^Q is ``wq[i]``. They are drawn from ``rng`` head
+    by head (head 0's wq, wk, wv, then head 1's, ...), then ``wo``, and
+    ``params`` names them ``head{i}.wq`` and so on, after ``wo``.
+    """
 
     def __init__(self, rng: np.random.Generator, d_model: int, n_heads: int, dtype=np.float32):
         if d_model % n_heads != 0:
             raise ValueError(f"d_model {d_model} not divisible by {n_heads} heads")
         self.n_heads = n_heads
         self.d_k = d_model // n_heads
-        self.heads = [AttentionHead(rng, d_model, self.d_k, dtype) for _ in range(n_heads)]
+        self.wq, self.wk, self.wv = [], [], []
+        for _ in range(n_heads):
+            for ws in (self.wq, self.wk, self.wv):
+                ws.append(Tensor(glorot(rng, d_model, self.d_k, dtype), requires_grad=True))
         self.wo = Tensor(glorot(rng, d_model, d_model, dtype), requires_grad=True)
 
     def params(self) -> dict[str, Tensor]:
         out = {"wo": self.wo}
-        for i, h in enumerate(self.heads):
-            for name, p in h.params().items():
-                out[f"head{i}.{name}"] = p
+        for i in range(self.n_heads):
+            out |= {f"head{i}.wq": self.wq[i], f"head{i}.wk": self.wk[i], f"head{i}.wv": self.wv[i]}
         return out
 
 
@@ -180,7 +176,8 @@ def multi_head_attention(
     bias of shape (..., heads, n_q, n_k); this is the hook the clustering
     signal plugs into.
     """
-    projected = [(matmul(q_in, h.wq), matmul(k_in, h.wk), matmul(v_in, h.wv)) for h in mha.heads]
+    heads = zip(mha.wq, mha.wk, mha.wv)
+    projected = [(matmul(q_in, wq), matmul(k_in, wk), matmul(v_in, wv)) for wq, wk, wv in heads]
     q, k, v = (stack(parts) for parts in zip(*projected))
     out, _ = scaled_dot_attention(q, k, v, bias=bias, keep=keep)
     return matmul(merge_heads(out), mha.wo)

@@ -22,7 +22,7 @@ encoder memories' cross-attention keys and values projected once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -101,7 +101,13 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        """Build and validate a config from ``to_dict`` output, which may come
+        from a file: every field must also have its declared type."""
         cfg = cls(**d)
+        kinds = {"int": int, "float": (int, float), "str": str}
+        for f in fields(cls):
+            if not isinstance(getattr(cfg, f.name), kinds[f.type]):
+                raise ValueError(f"{f.name} must be {f.type}, got {getattr(cfg, f.name)!r}")
         cfg.validate()
         return cfg
 
@@ -187,6 +193,12 @@ def _centroid_cosines(result: ClusterResult, embeddings: np.ndarray) -> np.ndarr
     return cos
 
 
+def _prefixed(**parts) -> dict[str, Tensor]:
+    """Every part's ``params()`` in argument order, each name prefixed with
+    the part's keyword: ``"{prefix}.{name}"``."""
+    return {f"{prefix}.{name}": p for prefix, part in parts.items() for name, p in part.params().items()}
+
+
 class EncoderLayer:
     def __init__(self, rng, d_model, heads, d_ff, dtype):
         self.attn = MultiHeadAttention(rng, d_model, heads, dtype)
@@ -196,18 +208,7 @@ class EncoderLayer:
         self.bias = ClusterBiasParams(heads, dtype)
 
     def params(self) -> dict[str, Tensor]:
-        out = {}
-        for name, p in self.attn.params().items():
-            out[f"attn.{name}"] = p
-        for name, p in self.ln1.params().items():
-            out[f"ln1.{name}"] = p
-        for name, p in self.ffn.params().items():
-            out[f"ffn.{name}"] = p
-        for name, p in self.ln2.params().items():
-            out[f"ln2.{name}"] = p
-        for name, p in self.bias.params().items():
-            out[f"bias.{name}"] = p
-        return out
+        return _prefixed(attn=self.attn, ln1=self.ln1, ffn=self.ffn, ln2=self.ln2, bias=self.bias)
 
 
 class DecoderLayer:
@@ -220,20 +221,9 @@ class DecoderLayer:
         self.ln3 = LayerNormParams(d_model, dtype)
 
     def params(self) -> dict[str, Tensor]:
-        out = {}
-        for name, p in self.self_attn.params().items():
-            out[f"self.{name}"] = p
-        for name, p in self.ln1.params().items():
-            out[f"ln1.{name}"] = p
-        for name, p in self.cross_attn.params().items():
-            out[f"cross.{name}"] = p
-        for name, p in self.ln2.params().items():
-            out[f"ln2.{name}"] = p
-        for name, p in self.ffn.params().items():
-            out[f"ffn.{name}"] = p
-        for name, p in self.ln3.params().items():
-            out[f"ln3.{name}"] = p
-        return out
+        return _prefixed(
+            self=self.self_attn, ln1=self.ln1, cross=self.cross_attn, ln2=self.ln2, ffn=self.ffn, ln3=self.ln3
+        )
 
 
 def _check_ids(ids, vocab_size: int, what: str) -> np.ndarray:
@@ -287,15 +277,10 @@ class KTransformer:
 
     def parameters(self) -> dict[str, Tensor]:
         """All trainable tensors in a stable, checkpoint-defining order."""
-        out = {"src_embed": self.src_embed, "tgt_embed": self.tgt_embed}
-        for i, layer in enumerate(self.encoder):
-            for name, p in layer.params().items():
-                out[f"enc{i}.{name}"] = p
-        for i, layer in enumerate(self.decoder):
-            for name, p in layer.params().items():
-                out[f"dec{i}.{name}"] = p
-        out["out_proj"] = self.out_proj
-        return out
+        encoder = {f"enc{i}": layer for i, layer in enumerate(self.encoder)}
+        decoder = {f"dec{i}": layer for i, layer in enumerate(self.decoder)}
+        embeds = {"src_embed": self.src_embed, "tgt_embed": self.tgt_embed}
+        return embeds | _prefixed(**encoder, **decoder) | {"out_proj": self.out_proj}
 
     def cluster_source(self, embeddings: Tensor) -> ClusterResult:
         """Cluster one sentence's raw token embeddings with k clamped to the
@@ -523,8 +508,7 @@ class IncrementalDecoder:
             keep[i, :n] = mask
         rows = Tensor(rows)
         self.memory = [
-            (self._project(rows, [h.wk for h in layer.cross_attn.heads], s),
-             self._project(rows, [h.wv for h in layer.cross_attn.heads], s))
+            (self._project(rows, layer.cross_attn.wk, s), self._project(rows, layer.cross_attn.wv, s))
             for layer in model.decoder
         ]
         self.memory_keep = np.broadcast_to(keep[None, :, None, :], (self.heads, b, 1, s)).reshape(-1, 1, s)
@@ -537,7 +521,7 @@ class IncrementalDecoder:
         return stack([matmul(x, w) for w in weights]).data.reshape(-1, rows_per_sentence, self.d_k)
 
     def _attend(self, x: Tensor, mha, k: np.ndarray, v: np.ndarray, keep=None) -> Tensor:
-        q = self._project(x, [h.wq for h in mha.heads])
+        q = self._project(x, mha.wq)
         out, _ = scaled_dot_attention(Tensor(q), Tensor(k), Tensor(v), keep=keep)
         return matmul(merge_heads(Tensor(out.data.reshape(self.heads, -1, self.d_k))), mha.wo)
 
@@ -549,9 +533,8 @@ class IncrementalDecoder:
         x = add(pick_rows(m.tgt_embed, ids), Tensor(m.pe.data[self.length]))
         for li, layer in enumerate(m.decoder):
             k, v = self.cache[li]
-            heads = layer.self_attn.heads
-            k = np.concatenate([k, self._project(x, [h.wk for h in heads])], axis=1)
-            v = np.concatenate([v, self._project(x, [h.wv for h in heads])], axis=1)
+            k = np.concatenate([k, self._project(x, layer.self_attn.wk)], axis=1)
+            v = np.concatenate([v, self._project(x, layer.self_attn.wv)], axis=1)
             self.cache[li] = (k, v)
             x = residual_layernorm(x, self._attend(x, layer.self_attn, k, v), layer.ln1)
             x = residual_layernorm(x, self._attend(x, layer.cross_attn, *self.memory[li], self.memory_keep), layer.ln2)

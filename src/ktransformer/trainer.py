@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import ParallelCorpus, Vocabulary, decode, make_batches
+from .corpus import PROFILES, ParallelCorpus, Vocabulary, decode, make_batches
 from .metrics import corpus_bleu
 from .model import KTransformer, ModelConfig
 from .tensor import GradientTape, Tensor, backward, scale, sum_all
@@ -211,16 +211,31 @@ def save_checkpoint(
     os.replace(tmp, path)
 
 
-def _read_entry(buffer: bytes, entry: dict, expected_offset: int, target_dtype: np.dtype) -> np.ndarray:
-    if entry["offset"] != expected_offset:
-        raise CheckpointError(f"manifest/buffer offset inconsistency at {entry['name']!r}")
-    if entry["dtype"] != _dtype_code(target_dtype):
-        raise CheckpointError(f"{entry['name']!r} stored as {entry['dtype']}, model expects {_dtype_code(target_dtype)}")
-    end = entry["offset"] + entry["nbytes"]
-    if end > len(buffer):
-        raise CheckpointError(f"checkpoint truncated inside {entry['name']!r}")
-    arr = np.frombuffer(buffer, dtype=entry["dtype"], count=entry["nbytes"] // np.dtype(entry["dtype"]).itemsize, offset=entry["offset"])
-    return arr.reshape(tuple(entry["shape"])).astype(target_dtype)
+def _entries(value, what: str) -> list[dict]:
+    """A manifest list of buffer entries: objects with every key that
+    ``_read_entry`` reads and a string name."""
+    keys = {"name", "shape", "dtype", "offset", "nbytes"}
+    if not isinstance(value, list) or not all(
+        isinstance(e, dict) and keys <= e.keys() and isinstance(e["name"], str) for e in value
+    ):
+        raise CheckpointError(f"malformed {what} entries in checkpoint manifest")
+    return value
+
+
+def _read_entry(buffer: bytes, entry: dict, offset: int, like: np.ndarray) -> np.ndarray:
+    """The array that ``entry`` describes, which must start at ``offset``
+    and have the shape and element type of ``like``."""
+    name, code = entry["name"], _dtype_code(like.dtype)
+    if entry["offset"] != offset:
+        raise CheckpointError(f"manifest/buffer offset inconsistency at {name!r}")
+    if entry["dtype"] != code:
+        raise CheckpointError(f"{name!r} stored as {entry['dtype']}, model expects {code}")
+    if entry["shape"] != list(like.shape) or entry["nbytes"] != like.nbytes:
+        stored = f"{entry['shape']!r} ({entry['nbytes']!r} bytes)"
+        raise CheckpointError(f"shape mismatch for {name!r}: {stored} vs {like.shape}")
+    if offset + like.nbytes > len(buffer):
+        raise CheckpointError(f"checkpoint truncated inside {name!r}")
+    return np.frombuffer(buffer, dtype=code, count=like.size, offset=offset).reshape(like.shape).astype(like.dtype)
 
 
 @dataclass
@@ -250,11 +265,21 @@ def _embedded_vocab(manifest: dict, key: str, size: int) -> Vocabulary | None:
     return vocab
 
 
+def _embedded_profile(manifest: dict, key: str) -> str | None:
+    """The manifest's preprocessing profile under ``key``, which must be one
+    of ``PROFILES``; None when the checkpoint has none."""
+    profile = manifest.get(key)
+    if profile is not None and profile not in PROFILES:
+        raise CheckpointError(f"unknown {key} {profile!r} in checkpoint; expected one of {PROFILES}")
+    return profile
+
+
 def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
     """Rebuild model, optimizer state, and vocabularies from a checkpoint.
 
-    Verifies the magic, format version, manifest/buffer offsets, the buffer
-    hash, and that each embedded vocabulary is valid and matches the model's
+    Verifies the magic, format version, the manifest's structure, its
+    buffer offsets and shapes, the buffer hash, the embedded profiles, and
+    that each embedded vocabulary is valid and matches the model's
     vocabulary size, so any truncation, corruption or mismatch is an
     explicit error."""
     try:
@@ -273,6 +298,8 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
         manifest = json.loads(data[header : header + mlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"unreadable checkpoint manifest: {e}") from e
+    if not isinstance(manifest, dict):
+        raise CheckpointError("checkpoint manifest is not a JSON object")
     if manifest.get("format_version") != FORMAT_VERSION:
         raise CheckpointError(
             f"unsupported checkpoint format version {manifest.get('format_version')!r}, expected {FORMAT_VERSION}"
@@ -287,33 +314,35 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
         raise CheckpointError(f"invalid model configuration in checkpoint: {e}") from e
     model = KTransformer(config)
     params = model.parameters()
-    entries = manifest.get("params", [])
+    entries = _entries(manifest.get("params", []), "parameter")
     if [e["name"] for e in entries] != list(params):
         raise CheckpointError("checkpoint parameter names do not match the model")
     offset = 0
     for entry in entries:
         p = params[entry["name"]]
-        arr = _read_entry(buffer, entry, offset, p.data.dtype)
-        if arr.shape != p.data.shape:
-            raise CheckpointError(f"shape mismatch for {entry['name']!r}: {arr.shape} vs {p.data.shape}")
-        p.data = arr
-        offset += entry["nbytes"]
+        p.data = _read_entry(buffer, entry, offset, p.data)
+        offset += p.data.nbytes
 
     state = None
     adam = manifest.get("adam")
     if adam is not None:
-        state = AdamState(params, lr=adam["lr"], beta1=adam["beta1"], beta2=adam["beta2"], eps=adam["eps"])
-        state.t = int(adam["t"])
-        for entry in adam["moments"]:
+        hyper = ("lr", "beta1", "beta2", "eps")
+        well_formed = isinstance(adam, dict) and isinstance(adam.get("t"), int)
+        if not (well_formed and all(isinstance(adam.get(k), (int, float)) for k in hyper)):
+            raise CheckpointError("malformed optimizer state in checkpoint manifest")
+        try:
+            state = AdamState(params, **{k: adam[k] for k in hyper})
+        except ValueError as e:
+            raise CheckpointError(f"invalid optimizer state in checkpoint: {e}") from e
+        state.t = adam["t"]
+        moments = _entries(adam.get("moments"), "optimizer")
+        if [e["name"] for e in moments] != [f"{kind}.{name}" for kind in "mv" for name in params]:
+            raise CheckpointError("checkpoint optimizer buffers do not match the model's parameters")
+        for entry in moments:
             kind, _, name = entry["name"].partition(".")
-            bank = state.m if kind == "m" else state.v if kind == "v" else None
-            if bank is None or name not in params:
-                raise CheckpointError(f"unknown optimizer buffer {entry['name']!r}")
-            arr = _read_entry(buffer, entry, offset, params[name].data.dtype)
-            if arr.shape != params[name].data.shape:
-                raise CheckpointError(f"shape mismatch for optimizer buffer {entry['name']!r}")
-            bank[name] = arr.copy()
-            offset += entry["nbytes"]
+            bank = state.m if kind == "m" else state.v
+            bank[name] = _read_entry(buffer, entry, offset, params[name].data)
+            offset += bank[name].nbytes
     if offset != len(buffer):
         raise CheckpointError(f"checkpoint buffer has {len(buffer) - offset} unaccounted bytes")
 
@@ -322,8 +351,8 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
         state=state,
         vocab_src=_embedded_vocab(manifest, "vocab_src", config.vocab_src),
         vocab_tgt=_embedded_vocab(manifest, "vocab_tgt", config.vocab_tgt),
-        profile_src=manifest.get("profile_src"),
-        profile_tgt=manifest.get("profile_tgt"),
+        profile_src=_embedded_profile(manifest, "profile_src"),
+        profile_tgt=_embedded_profile(manifest, "profile_tgt"),
     )
 
 

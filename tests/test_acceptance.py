@@ -173,15 +173,15 @@ def test_ac2_gradients_match_finite_differences():
 
     checks.append(("loss/tgt_embed", T.finite_diff_check(wrt_tgt, tgt_old)))
 
-    head = m_on.encoder[0].attn.heads[0]
-    wq_old = head.wq
+    wqs = m_on.encoder[0].attn.wq
+    wq_old = wqs[0]
 
     def wrt_wq(t):
-        head.wq = t
+        wqs[0] = t
         try:
             return m_on.sequence_loss(src, tgt)
         finally:
-            head.wq = wq_old
+            wqs[0] = wq_old
 
     checks.append(("loss/enc_wq", T.finite_diff_check(wrt_wq, wq_old)))
 

@@ -183,6 +183,17 @@ def test_train_missing_required_paths_is_usage_error(workdir):
     assert rc == EXIT_USAGE
 
 
+@pytest.mark.parametrize("fraction", ["-0.5", "1.0", "2.0"])
+def test_train_val_fraction_out_of_range_is_usage_error(workdir, capsys, fraction):
+    prep = run_preprocess(workdir)
+    cfg = workdir / "run.cfg"
+    cfg.write_text(train_cfg_lines(prep, workdir / "r"), encoding="utf-8")
+    rc = main(["train", "--config", str(cfg), "--set", f"val_fraction={fraction}"])
+    assert rc == EXIT_USAGE
+    assert "val_fraction" in capsys.readouterr().err
+    assert not (workdir / "r").exists()
+
+
 def test_train_divergence_exit_code(workdir):
     prep = run_preprocess(workdir)
     cfg = workdir / "div.cfg"
@@ -282,6 +293,42 @@ def test_translate_checkpoint_with_bad_vocab_is_data_error(workdir, tokens):
     out = workdir / "o.txt"
     rc = main(["translate", "--checkpoint", str(path), "--input", str(inp), "--output", str(out)])
     assert rc == EXIT_DATA
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda m: {**m, "adam": {}}, id="adam-empty"),
+        pytest.param(lambda m: {**m, "params": [{}] + m["params"][1:]}, id="param-empty"),
+        pytest.param(lambda m: {**m, "params": 5}, id="params-int"),
+        pytest.param(lambda m: [m], id="manifest-list"),
+        pytest.param(lambda m: {**m, "profile_src": "klingon"}, id="profile-unknown"),
+    ],
+)
+def test_translate_malformed_manifest_is_data_error(workdir, capsys, edit):
+    import json
+    import struct
+
+    from ktransformer.corpus import Vocabulary
+    from ktransformer.model import KTransformer, ModelConfig
+    from ktransformer.trainer import AdamState, save_checkpoint
+
+    model = KTransformer(ModelConfig(vocab_src=8, vocab_tgt=8, d_model=8, heads=2, d_ff=16,
+                                     layers_enc=1, layers_dec=1, max_len=10))
+    path = workdir / "m.ckpt"
+    vocab = Vocabulary(["a", "b", "c", "d"])
+    save_checkpoint(model, path, state=AdamState(model.parameters()), vocab_src=vocab, vocab_tgt=vocab)
+    raw = path.read_bytes()
+    (mlen,) = struct.unpack("<Q", raw[8:16])
+    blob = json.dumps(edit(json.loads(raw[16 : 16 + mlen]))).encode("utf-8")
+    path.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + mlen :])
+    inp = workdir / "in.txt"
+    inp.write_text("a b\n", encoding="utf-8")
+    out = workdir / "o.txt"
+    rc = main(["translate", "--checkpoint", str(path), "--input", str(inp), "--output", str(out)])
+    assert rc == EXIT_DATA
+    assert capsys.readouterr().err.startswith("data error:")
     assert not out.exists()
 
 

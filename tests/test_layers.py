@@ -5,7 +5,6 @@ import pytest
 
 from ktransformer import tensor as T
 from ktransformer.layers import (
-    AttentionHead,
     FeedForward,
     LayerNormParams,
     MultiHeadAttention,
@@ -226,7 +225,7 @@ def test_multi_head_param_names_stable():
 def test_single_head_with_identity_weights_reduces_to_plain_attention():
     mha = MultiHeadAttention(np.random.default_rng(1), d_model=4, n_heads=1, dtype=np.float64)
     eye = np.eye(4)
-    for w in (mha.heads[0].wq, mha.heads[0].wk, mha.heads[0].wv, mha.wo):
+    for w in (mha.wq[0], mha.wk[0], mha.wv[0], mha.wo):
         w.data = eye.copy()
     rng = np.random.default_rng(2)
     x = t64(rng.normal(size=(3, 4)))
@@ -248,8 +247,8 @@ def _concat_cols_reference(parts):
 def _per_head_reference(q_in, k_in, v_in, mha, per_head_bias, keep):
     """One 2-D attention chain per head, then concatenation and W^O."""
     outs = []
-    for i, h in enumerate(mha.heads):
-        q, k, v = T.matmul(q_in, h.wq), T.matmul(k_in, h.wk), T.matmul(v_in, h.wv)
+    for i in range(mha.n_heads):
+        q, k, v = T.matmul(q_in, mha.wq[i]), T.matmul(k_in, mha.wk[i]), T.matmul(v_in, mha.wv[i])
         scores = T.scale(T.matmul(q, T.transpose(k)), 1.0 / np.sqrt(mha.d_k))
         if per_head_bias is not None:
             scores = T.add(scores, per_head_bias[i])

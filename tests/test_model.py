@@ -296,17 +296,17 @@ def test_same_cluster_attention_weight_exceeds_cross_cluster():
     # neutralize content-driven scores: identical q/k projections via zeroed
     # weights would give uniform logits; the bias then decides
     layer = m.encoder[0]
-    for head in layer.attn.heads:
-        head.wq.data = np.zeros_like(head.wq.data)
+    for wq in layer.attn.wq:
+        wq.data = np.zeros_like(wq.data)
     ids = np.array([4, 5, 6, 7])
     emb_t = T.pick_rows(m.src_embed, ids)
     res = m.cluster_source(emb_t)
     bias = cluster_bias(res, emb_t, 0, layer.bias, "same_cluster")
     from ktransformer.layers import scaled_dot_attention
 
-    q = T.matmul(emb_t, layer.attn.heads[0].wq)
-    k = T.matmul(emb_t, layer.attn.heads[0].wk)
-    v = T.matmul(emb_t, layer.attn.heads[0].wv)
+    q = T.matmul(emb_t, layer.attn.wq[0])
+    k = T.matmul(emb_t, layer.attn.wk[0])
+    v = T.matmul(emb_t, layer.attn.wv[0])
     _, w = scaled_dot_attention(q, k, v, bias=bias)
     same = res.assignments
     for i in range(4):

@@ -201,12 +201,15 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     assert loaded.profile_tgt == "char_tokenized"
 
 
-def _rewrite_manifest(path, **changes):
-    """Replace manifest entries of a saved checkpoint, keeping its buffer."""
+def _rewrite_manifest(path, edit=None, **changes):
+    """Replace manifest entries of a saved checkpoint, and then the whole
+    manifest by ``edit(manifest)`` if given, keeping its buffer."""
     raw = path.read_bytes()
     (mlen,) = struct.unpack("<Q", raw[8:16])
     manifest = json.loads(raw[16 : 16 + mlen])
     manifest.update(changes)
+    if edit is not None:
+        manifest = edit(manifest)
     blob = json.dumps(manifest).encode("utf-8")
     path.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + mlen :])
 
@@ -228,6 +231,64 @@ def test_checkpoint_with_bad_vocabulary_is_checkpoint_error(tmp_path, vocab_src,
     save_checkpoint(tiny_model(), path, vocab_src=Vocabulary(words), vocab_tgt=Vocabulary(words))
     assert len(load_checkpoint(path).vocab_src) == 10
     _rewrite_manifest(path, vocab_src=vocab_src)
+    with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(path)
+
+
+def _edit_param(m, i, **changes):
+    params = list(m["params"])
+    params[i] = {**params[i], **changes}
+    return {**m, "params": params}
+
+
+def _edit_adam(m, **changes):
+    return {**m, "adam": {**m["adam"], **changes}}
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        pytest.param(lambda m: {**m, "adam": {}}, "malformed optimizer state", id="adam-empty"),
+        pytest.param(lambda m: _edit_adam(m, lr="fast"), "malformed optimizer state", id="adam-lr-str"),
+        pytest.param(lambda m: _edit_adam(m, lr=-1.0), "invalid optimizer state", id="adam-lr-neg"),
+        pytest.param(lambda m: _edit_adam(m, moments=5), "malformed optimizer entries", id="moments-int"),
+        pytest.param(
+            # every v buffer relabelled as an m buffer: the v moments would load as zeros
+            lambda m: _edit_adam(m, moments=[{**e, "name": "m" + e["name"][1:]} for e in m["adam"]["moments"]]),
+            "optimizer buffers do not match",
+            id="moments-v-as-m",
+        ),
+        pytest.param(
+            lambda m: {**m, "model_config": {**m["model_config"], "d_model": 8.0}},
+            "d_model must be int",
+            id="config-float-width",
+        ),
+        pytest.param(lambda m: {**m, "params": [{}] + m["params"][1:]}, "malformed parameter entries", id="param-empty"),
+        pytest.param(
+            lambda m: {**m, "params": [{k: v for k, v in e.items() if k != "offset"} for e in m["params"]]},
+            "malformed parameter entries",
+            id="param-no-offset",
+        ),
+        pytest.param(lambda m: {**m, "params": 5}, "malformed parameter entries", id="params-int"),
+        pytest.param(lambda m: _edit_param(m, 0, name=7), "malformed parameter entries", id="param-name-int"),
+        pytest.param(lambda m: _edit_param(m, 0, shape="10x8"), "shape mismatch", id="shape-str"),
+        pytest.param(lambda m: _edit_param(m, 0, shape=[8, 10]), "shape mismatch", id="shape-transposed"),
+        pytest.param(lambda m: _edit_param(m, 0, nbytes=8), "shape mismatch", id="nbytes-short"),
+        pytest.param(lambda m: [m], "not a JSON object", id="manifest-list"),
+        pytest.param(lambda m: {**m, "profile_src": "klingon"}, "unknown profile_src", id="profile-src"),
+        pytest.param(lambda m: {**m, "profile_tgt": 3}, "unknown profile_tgt", id="profile-tgt"),
+    ],
+)
+def test_malformed_manifest_is_checkpoint_error(tmp_path, edit, match):
+    from ktransformer.corpus import Vocabulary
+
+    model = tiny_model()
+    path = tmp_path / "m.ckpt"
+    words = ["a", "b", "c", "d", "e", "f"]
+    save_checkpoint(model, path, state=AdamState(model.parameters()), vocab_src=Vocabulary(words),
+                    vocab_tgt=Vocabulary(words), profile_src="space_tokenized", profile_tgt="char_tokenized")
+    assert load_checkpoint(path).state is not None
+    _rewrite_manifest(path, edit)
     with pytest.raises(CheckpointError, match=match):
         load_checkpoint(path)
 
