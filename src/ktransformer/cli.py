@@ -9,6 +9,7 @@ wall-clock column of the training log.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -328,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-vocab", type=int, default=8000, help="vocabulary size cap including the 4 specials")
     p.add_argument("--min-freq", type=int, default=1)
     p.add_argument("--max-len", type=int, default=50, help="length bound used for the retention stats")
-    p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("train", help="train a model on a preprocessed corpus")
     p.add_argument("--config", help="key = value configuration file")
@@ -337,21 +337,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--max-steps", type=int)
     p.add_argument("--out-dir", help=f"run directory (default: config, then ${RUN_DIR_ENV}, then ./run)")
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("translate", help="greedy-decode a text file with a trained checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--max-out-len", type=int, default=None)
-    p.set_defaults(func=cmd_translate)
 
     p = sub.add_parser("evaluate", help="corpus BLEU of a hypothesis file against a reference")
     p.add_argument("--hyp", required=True, help="hypothesis tokens, space-separated per line")
     p.add_argument("--ref", required=True, help="reference tokens, space-separated per line")
     p.add_argument("--n", type=int, default=4, help="highest n-gram order")
     p.add_argument("--smooth", choices=("off", "on"), default="off")
-    p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("report", help="per-length-bucket BLEU comparison (CSV + SVG)")
     p.add_argument("--system", action="append", required=True, metavar="NAME=HYPFILE")
@@ -359,15 +356,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--src", help="source file for true length bucketing (reference length otherwise)")
     p.add_argument("--buckets", default="10,20,30,40,50")
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_report)
     return parser
 
 
+# Built on first use and shared by every later ``main`` call in the process:
+# parse_args starts each call from a fresh namespace, so nothing carries over.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # the handler is looked up per call, not bound into the shared parser, so
+    # one that replaces ``cmd_<command>`` later (a tracer, a test) is called
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except ConfigError as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -48,8 +48,11 @@ def positional_encoding(max_len: int, d_model: int, dtype=np.float32) -> np.ndar
     return table.astype(dtype)
 
 
-def glorot(rng: np.random.Generator, fan_in: int, fan_out: int, dtype=np.float32) -> np.ndarray:
-    """Glorot/Xavier uniform init for a (fan_in, fan_out) weight."""
+def glorot(rng: np.random.Generator | None, fan_in: int, fan_out: int, dtype=np.float32) -> np.ndarray:
+    """Glorot/Xavier uniform init for a (fan_in, fan_out) weight; zeros
+    without drawing when ``rng`` is None (the weight will be overwritten)."""
+    if rng is None:
+        return np.zeros((fan_in, fan_out), dtype=dtype)
     limit = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(dtype)
 
@@ -140,7 +143,7 @@ class MultiHeadAttention:
     ``params`` names them ``head{i}.wq`` and so on, after ``wo``.
     """
 
-    def __init__(self, rng: np.random.Generator, d_model: int, n_heads: int, dtype=np.float32):
+    def __init__(self, rng: np.random.Generator | None, d_model: int, n_heads: int, dtype=np.float32):
         if d_model % n_heads != 0:
             raise ValueError(f"d_model {d_model} not divisible by {n_heads} heads")
         self.n_heads = n_heads
@@ -186,7 +189,7 @@ def multi_head_attention(
 class FeedForward:
     """Two-layer position-wise network with an inner ReLU."""
 
-    def __init__(self, rng: np.random.Generator, d_model: int, d_ff: int, dtype=np.float32):
+    def __init__(self, rng: np.random.Generator | None, d_model: int, d_ff: int, dtype=np.float32):
         self.w1 = Tensor(glorot(rng, d_model, d_ff, dtype), requires_grad=True)
         self.b1 = Tensor(np.zeros(d_ff, dtype=dtype), requires_grad=True)
         self.w2 = Tensor(glorot(rng, d_ff, d_model, dtype), requires_grad=True)

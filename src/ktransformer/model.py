@@ -14,10 +14,16 @@ Encoding, teacher-forced decoding and the loss take one sentence (1-D ids,
 (B, length, d_model) activations) with boolean masks marking each real
 prefix. A batch runs as one pass and gives every sentence the floats it
 would get on its own at the batch's padded width; k-means and the cluster
-tables are still per sentence. Greedy decoding runs many encoded sentences
-in lockstep through ``IncrementalDecoder``: one new (batch, d_model) row per
-step, with each layer's self-attention keys and values cached and the
-encoder memories' cross-attention keys and values projected once.
+tables are still per sentence. Greedy decoding sorts the sentences by length
+and encodes each chunk of them as one padded batch, k-means still per
+sentence; a memory row then matches encoding its sentence alone up to
+rounding (within 1e-12 relative in f64). The chunk decodes in lockstep
+through ``IncrementalDecoder``: one new (batch, d_model) row per step, each
+attention's per-head projections fused into one product, each layer's
+self-attention keys and values cached and the memory's cross-attention keys
+and values projected once. The emitted tokens are those of re-running the
+teacher-forced decoder over the whole prefix for each token, unless two
+logits tie within rounding.
 """
 
 from __future__ import annotations
@@ -50,7 +56,6 @@ from .tensor import (
     merge_heads,
     mul,
     pick_rows,
-    stack,
 )
 
 CLUSTER_MODES = ("off", "same_cluster", "centroid_affinity", "both")
@@ -255,14 +260,18 @@ def _check_mask(mask, ids: np.ndarray, what: str) -> np.ndarray:
 
 
 class KTransformer:
-    """Encoder-decoder with the cluster-bias hook on encoder self-attention."""
+    """Encoder-decoder with the cluster-bias hook on encoder self-attention.
 
-    def __init__(self, config: ModelConfig):
+    Weights are drawn from ``config.init_seed``; with ``draw_weights=False``
+    they are zeros instead, for a caller that overwrites them all (loading a
+    checkpoint)."""
+
+    def __init__(self, config: ModelConfig, draw_weights: bool = True):
         config.validate()
         self.config = config
         dtype = dtype_of(config.precision)
         self.dtype = dtype
-        rng = np.random.default_rng(config.init_seed)
+        rng = np.random.default_rng(config.init_seed) if draw_weights else None
         self.src_embed = Tensor(glorot(rng, config.vocab_src, config.d_model, dtype), requires_grad=True)
         self.tgt_embed = Tensor(glorot(rng, config.vocab_tgt, config.d_model, dtype), requires_grad=True)
         # one extra row: decoder input is <BOS>-prefixed, so its width can be max_len + 1
@@ -446,9 +455,15 @@ class KTransformer:
         final <EOS> is stripped, any other reserved id is kept as emitted.
         Argmax ties resolve to the lowest token id.
 
-        Each sentence is encoded on its own; decoding then runs in
-        length-sorted lockstep batches of up to ``DECODE_BATCH``. Decoding
-        past max_len + 1 decoder positions raises ValueError.
+        The sentences are sorted by real length and cut into chunks of up to
+        ``DECODE_BATCH``. Each chunk is encoded as one padded (B, width)
+        batch, with k-means and the cluster tables still per sentence on its
+        real rows, and then decodes in lockstep through
+        ``IncrementalDecoder``. At the chunk's padded width a memory row
+        matches encoding its sentence alone up to rounding (within 1e-12
+        relative in f64), so the emitted tokens are those of the
+        full-prefix greedy loop unless two logits tie within that rounding.
+        Decoding past max_len + 1 decoder positions raises ValueError.
         """
         cap = self.config.max_len if max_out_len is None else max_out_len
         if cap < 0:
@@ -456,16 +471,24 @@ class KTransformer:
         masks = [None] * len(sources) if src_masks is None else list(src_masks)
         if len(masks) != len(sources):
             raise ValueError(f"{len(masks)} source masks for {len(sources)} sources")
-        encoded = []
+        checked = []
         for ids, mask in zip(sources, masks):
-            memory, _ = self.encode(ids, mask)
-            n = memory.data.shape[0]
-            encoded.append((memory, np.ones(n, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)))
-        order = sorted(range(len(encoded)), key=lambda i: int(encoded[i][1].sum()))
-        out: list[list[int]] = [[] for _ in encoded]
+            ids = _check_ids(ids, self.config.vocab_src, "source")
+            if ids.ndim != 1:
+                raise ValueError(f"greedy decoding takes 1-D source sentences, got shape {ids.shape}")
+            checked.append((ids, _check_mask(mask, ids, "source")))
+        order = sorted(range(len(checked)), key=lambda i: int(checked[i][1].sum()))
+        out: list[list[int]] = [[] for _ in checked]
         for start in range(0, len(order), DECODE_BATCH):
             chunk = order[start : start + DECODE_BATCH]
-            decoder = IncrementalDecoder(self, [encoded[i][0] for i in chunk], [encoded[i][1] for i in chunk])
+            width = max(checked[i][0].shape[0] for i in chunk)
+            src = np.full((len(chunk), width), PAD_ID, dtype=np.int64)
+            src_mask = np.zeros((len(chunk), width), dtype=bool)
+            for row, i in enumerate(chunk):
+                n = checked[i][0].shape[0]
+                src[row, :n], src_mask[row, :n] = checked[i]
+            memory, _ = self.encode(src, src_mask)
+            decoder = IncrementalDecoder(self, memory, src_mask)
             active = np.array(chunk)
             ids = np.full(len(chunk), BOS_ID, dtype=np.int64)
             for _ in range(cap):
@@ -481,49 +504,67 @@ class KTransformer:
         return out
 
 
+def _fused(weights: list[Tensor]) -> Tensor:
+    """Per-head projection weights side by side: one (d_model, len * d_k)
+    matrix whose column blocks are the weights in list order."""
+    return Tensor(np.concatenate([w.data for w in weights], axis=1))
+
+
 class IncrementalDecoder:
     """Cached decoder state for a batch of encoded sentences in lockstep.
 
-    ``step`` feeds one new target token per sentence, (batch,) ids at the
-    next position, and returns the (batch, vocab_tgt) logits for it: each
-    decoder layer projects only the new rows, appends their keys and values
-    to its self-attention cache, and attends over the cache and over the
-    encoder memory, whose cross-attention keys and values are projected once
-    here. Per-head tensors are head-major (heads * batch, rows, d_k) stacks,
-    so every (head, sentence) pair is one attention problem. The logits
-    equal the last row of a teacher-forced ``decode_forward`` over the same
-    prefix, up to rounding. No tape is recorded.
+    Built from a (batch, s, d_model) encoder memory and its (batch, s)
+    source mask. ``step`` feeds one new target token per sentence, (batch,)
+    ids at the next position, and returns the (batch, vocab_tgt) logits for
+    it: each decoder layer projects only the new rows, appends their keys
+    and values to its self-attention cache, and attends over the cache and
+    over the encoder memory, whose cross-attention keys and values are
+    projected once here.
+
+    Head i's W_i^Q, W_i^K, W_i^V are column blocks of one matrix, so each
+    attention's per-head weights are concatenated once, here: self-attention
+    projects q, k and v of every head with one (d_model, 3 * d_model)
+    product, cross-attention its queries with one (d_model, d_model) product
+    and the memory's keys and values with one (d_model, 2 * d_model)
+    product. The fused weights belong to this decoder, not to the model, so
+    they always match the parameters it was built from. Per-head tensors are
+    head-major (heads * batch, rows, d_k) stacks, so every (head, sentence)
+    pair is one attention problem. The logits equal the last row of a
+    teacher-forced ``decode_forward`` over the same prefix, up to rounding
+    (within 1e-12 relative in f64). No tape is recorded.
     """
 
-    def __init__(self, model: KTransformer, memories: list[Tensor], src_masks: list[np.ndarray]):
+    def __init__(self, model: KTransformer, memory: Tensor, src_mask: np.ndarray):
         cfg = model.config
         self.model = model
         self.heads, self.d_k = cfg.heads, cfg.d_model // cfg.heads
-        b, s = len(memories), max(mem.data.shape[0] for mem in memories)
-        rows = np.zeros((b * s, cfg.d_model), dtype=model.dtype)
-        keep = np.zeros((b, s), dtype=bool)
-        for i, (mem, mask) in enumerate(zip(memories, src_masks)):
-            n = mem.data.shape[0]
-            rows[i * s : i * s + n] = mem.data
-            keep[i, :n] = mask
-        rows = Tensor(rows)
-        self.memory = [
-            (self._project(rows, layer.cross_attn.wk, s), self._project(rows, layer.cross_attn.wv, s))
+        keep = np.asarray(src_mask, dtype=bool)
+        if memory.data.ndim != 3 or keep.shape != memory.data.shape[:2]:
+            raise ValueError(f"memory {memory.data.shape} and source mask {keep.shape} are not (batch, s, d), (batch, s)")
+        b, s = keep.shape
+        self.weights = [
+            (_fused(layer.self_attn.wq + layer.self_attn.wk + layer.self_attn.wv), _fused(layer.cross_attn.wq))
             for layer in model.decoder
+        ]
+        self.memory = [
+            tuple(self._project(memory, _fused(layer.cross_attn.wk + layer.cross_attn.wv))) for layer in model.decoder
         ]
         self.memory_keep = np.broadcast_to(keep[None, :, None, :], (self.heads, b, 1, s)).reshape(-1, 1, s)
         empty = np.zeros((self.heads * b, 0, self.d_k), dtype=model.dtype)
         self.cache = [(empty, empty) for _ in model.decoder]
         self.length = 0
 
-    def _project(self, x: Tensor, weights: list[Tensor], rows_per_sentence: int = 1) -> np.ndarray:
-        """x @ w for each head's w, as a (heads * batch, rows, d_k) stack."""
-        return stack([matmul(x, w) for w in weights]).data.reshape(-1, rows_per_sentence, self.d_k)
+    def _project(self, x: Tensor, w: Tensor) -> np.ndarray:
+        """x @ w for (batch, d_model) rows or a (batch, rows, d_model) batch
+        and a fused weight of p (d_model, d_model) blocks, each block cut into
+        head-major stacks: (p, heads * batch, rows, d_k)."""
+        b, rows = x.data.shape[0], x.data.shape[1] if x.data.ndim == 3 else 1
+        y = matmul(x, w).data.reshape(b, rows, -1, self.heads, self.d_k).transpose(2, 3, 0, 1, 4)
+        return y.reshape(y.shape[0], self.heads * b, rows, self.d_k)
 
-    def _attend(self, x: Tensor, mha, k: np.ndarray, v: np.ndarray, keep=None) -> Tensor:
-        q = self._project(x, mha.wq)
+    def _attend(self, q: np.ndarray, wo: Tensor, k: np.ndarray, v: np.ndarray, keep=None) -> Tensor:
         out, _ = scaled_dot_attention(Tensor(q), Tensor(k), Tensor(v), keep=keep)
-        return matmul(merge_heads(Tensor(out.data.reshape(self.heads, -1, self.d_k))), mha.wo)
+        return matmul(merge_heads(Tensor(out.data.reshape(self.heads, -1, self.d_k))), wo)
 
     def step(self, ids) -> np.ndarray:
         """Decode one position for every sentence; see the class docstring."""
@@ -532,12 +573,14 @@ class IncrementalDecoder:
             raise ValueError(f"decoder input length {self.length + 1} exceeds {m.config.max_len + 1}")
         x = add(pick_rows(m.tgt_embed, ids), Tensor(m.pe.data[self.length]))
         for li, layer in enumerate(m.decoder):
-            k, v = self.cache[li]
-            k = np.concatenate([k, self._project(x, layer.self_attn.wk)], axis=1)
-            v = np.concatenate([v, self._project(x, layer.self_attn.wv)], axis=1)
+            w_qkv, w_q = self.weights[li]
+            q, k, v = self._project(x, w_qkv)
+            k = np.concatenate([self.cache[li][0], k], axis=1)
+            v = np.concatenate([self.cache[li][1], v], axis=1)
             self.cache[li] = (k, v)
-            x = residual_layernorm(x, self._attend(x, layer.self_attn, k, v), layer.ln1)
-            x = residual_layernorm(x, self._attend(x, layer.cross_attn, *self.memory[li], self.memory_keep), layer.ln2)
+            x = residual_layernorm(x, self._attend(q, layer.self_attn.wo, k, v), layer.ln1)
+            (q,) = self._project(x, w_q)
+            x = residual_layernorm(x, self._attend(q, layer.cross_attn.wo, *self.memory[li], self.memory_keep), layer.ln2)
             x = residual_layernorm(x, feed_forward(layer.ffn, x), layer.ln3)
         self.length += 1
         return matmul(x, m.out_proj).data

@@ -124,7 +124,7 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: Ad
     state.t += 1
     bc1 = 1.0 - state.beta1 ** state.t
     bc2 = 1.0 - state.beta2 ** state.t
-    lr = state.lr * lr_scale
+    lr = state.lr * float(lr_scale)  # a numpy scalar would promote f32 parameters
     for name, p in params.items():
         g = grads[name].astype(p.data.dtype, copy=False)
         m = state.m[name]
@@ -312,7 +312,7 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
         config = ModelConfig.from_dict(manifest["model_config"])
     except (KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"invalid model configuration in checkpoint: {e}") from e
-    model = KTransformer(config)
+    model = KTransformer(config, draw_weights=False)
     params = model.parameters()
     entries = _entries(manifest.get("params", []), "parameter")
     if [e["name"] for e in entries] != list(params):

@@ -356,6 +356,11 @@ def test_translate_past_positional_table_is_usage_error(workdir):
     out.unlink()
     assert main(args + ["8"]) == EXIT_USAGE
     assert not out.exists()
+    # one parser serves every call: a cap given to an earlier call does not carry over
+    assert main(args[:-1]) == EXIT_OK
+    assert out.read_text(encoding="utf-8").splitlines() == [" ".join("a" * 6), "", " ".join("a" * 6)]
+    assert main(args + ["2"]) == EXIT_OK
+    assert out.read_text(encoding="utf-8").splitlines() == ["a a", "", "a a"]
 
 
 def test_translate_empty_input_gives_empty_output(workdir):
@@ -379,6 +384,17 @@ def test_evaluate_identity_is_perfect(workdir, capsys):
     assert "BLEU = 1.000000" in out
     assert "100.00" in out
     assert "bp = 1.000000" in out
+
+
+def test_main_calls_the_handler_the_module_holds(workdir, monkeypatch):
+    ref = workdir / "ref.txt"
+    ref.write_text("a b c\n", encoding="utf-8")
+    args = ["evaluate", "--hyp", str(ref), "--ref", str(ref)]
+    assert main(args) == EXIT_OK  # the shared parser exists from here on
+    seen = []
+    monkeypatch.setattr("ktransformer.cli.cmd_evaluate", lambda a: seen.append(a.n) or EXIT_DATA)
+    assert main(args + ["--n", "2"]) == EXIT_DATA
+    assert seen == [2]
 
 
 def test_evaluate_agrees_with_library_scoring(workdir, capsys):

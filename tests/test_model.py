@@ -454,33 +454,53 @@ def test_sentence_alone_equals_sentence_in_batch(monkeypatch):
     batch = m.greedy_translate_batch(srcs)
     assert batch == [m.greedy_translate(s) for s in srcs]
     assert m.greedy_translate_batch([]) == []
-    monkeypatch.setattr("ktransformer.model.DECODE_BATCH", 3)  # three length-sorted chunks
+
+    # three length-sorted chunks, each encoded as one padded batch: every
+    # real memory row is within 1e-12 relative of encoding the line alone
+    chunks = []
+
+    class Recording(IncrementalDecoder):
+        def __init__(self, model, memory, src_mask):
+            chunks.append((memory.data, src_mask))
+            super().__init__(model, memory, src_mask)
+
+    monkeypatch.setattr("ktransformer.model.DECODE_BATCH", 3)
+    monkeypatch.setattr("ktransformer.model.IncrementalDecoder", Recording)
     assert m.greedy_translate_batch(srcs) == batch
+    by_length = sorted(srcs, key=len)
+    assert [mask.shape[0] for _, mask in chunks] == [3, 3, 2]
+    rows = [(memory[r], mask[r]) for memory, mask in chunks for r in range(mask.shape[0])]
+    for s, (row, mask) in zip(by_length, rows):
+        alone, _ = m.encode(s)
+        assert mask.sum() == len(s) and not mask[len(s):].any()
+        assert np.abs(row[: len(s)] - alone.data).max() <= 1e-12 * np.abs(alone.data).max()
 
 
 def test_incremental_logits_match_teacher_forced_last_row():
-    # f64: every cached step, also after dropping a sentence from the batch,
-    # reproduces the last logits row of a full teacher-forced pass
-    m = decoding_model()
-    max_len = m.config.max_len
-    rng = np.random.default_rng(8)
-    srcs = [rng.integers(4, 12, size=n) for n in (3, max_len, 1)]
-    masks = [np.ones(3, dtype=bool), np.arange(max_len) < 5, np.ones(1, dtype=bool)]
-    srcs[1][5:] = PAD_ID
-    memories = [m.encode(s, k)[0] for s, k in zip(srcs, masks)]
-    prefixes = [np.concatenate([[BOS_ID], rng.integers(1, 12, size=max_len)]) for _ in srcs]
-    dec = IncrementalDecoder(m, memories, masks)
-    rows = [0, 1, 2]
-    for t in range(max_len + 1):
-        if t == 4:
-            rows = [0, 2]
-            dec.keep_rows(np.array([0, 2]))
-        logits = dec.step(np.array([prefixes[i][t] for i in rows]))
-        for r, i in enumerate(rows):
-            want = m.decode_forward(prefixes[i][: t + 1], memories[i], src_mask=masks[i]).data[-1]
-            assert np.abs(logits[r] - want).max() <= 1e-12 * np.abs(want).max()
-    with pytest.raises(ValueError, match="exceeds"):
-        dec.step(np.array([4, 4]))
+    # every cached step, also after dropping a sentence from the batch,
+    # reproduces the last logits row of a full teacher-forced pass; f32
+    # rounds the fused and the per-head projections differently
+    for precision, rtol in (("f64", 1e-12), ("f32", 1e-5)):
+        m = decoding_model(precision=precision)
+        max_len = m.config.max_len
+        rng = np.random.default_rng(8)
+        srcs = np.full((3, max_len), PAD_ID, dtype=np.int64)
+        masks = np.arange(max_len) < np.array([[3], [5], [1]])
+        srcs[masks] = rng.integers(4, 12, size=int(masks.sum()))
+        memory, _ = m.encode(srcs, masks)
+        prefixes = [np.concatenate([[BOS_ID], rng.integers(1, 12, size=max_len)]) for _ in srcs]
+        dec = IncrementalDecoder(m, memory, masks)
+        rows = [0, 1, 2]
+        for t in range(max_len + 1):
+            if t == 4:
+                rows = [0, 2]
+                dec.keep_rows(np.array([0, 2]))
+            logits = dec.step(np.array([prefixes[i][t] for i in rows]))
+            for r, i in enumerate(rows):
+                want = m.decode_forward(prefixes[i][: t + 1], Tensor(memory.data[i]), src_mask=masks[i]).data[-1]
+                assert np.abs(logits[r] - want).max() <= rtol * np.abs(want).max()
+        with pytest.raises(ValueError, match="exceeds"):
+            dec.step(np.array([4, 4]))
 
 
 def test_greedy_past_positional_table_is_value_error():

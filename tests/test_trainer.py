@@ -101,6 +101,23 @@ def test_lr_scale_applies_warmup_fraction():
     assert np.allclose(pa["w"].data, pb["w"].data, atol=1e-12)
 
 
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+def test_numpy_lr_scale_keeps_parameter_dtype(precision):
+    # a numpy float64 scale must not promote f32 parameters (their moments
+    # stay f32, and the next forward would mix dtypes)
+    runs = []
+    for lr_scale in (0.5, np.float64(0.5)):
+        model = tiny_model(precision=precision)
+        params = model.parameters()
+        state = AdamState(params, lr=0.01)
+        grads = {name: np.full(p.data.shape, 0.25, dtype=p.data.dtype) for name, p in params.items()}
+        adam_step(params, grads, state, lr_scale=lr_scale)
+        assert all(p.data.dtype == model.dtype for p in params.values())
+        model.encode(np.array([4, 5, 6]))
+        runs.append(b"".join(p.data.tobytes() for p in params.values()))
+    assert runs[0] == runs[1]
+
+
 def test_nonfinite_gradient_rejected_before_mutation():
     params, state = single_param([1.0, 2.0])
     before = params["w"].data.copy()
