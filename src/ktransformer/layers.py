@@ -57,25 +57,14 @@ def glorot(rng: np.random.Generator | None, fan_in: int, fan_out: int, dtype=np.
     return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(dtype)
 
 
-def dropout(
-    x: Tensor,
-    rate: float,
-    rng: np.random.Generator | int | None,
-    training: bool,
-    uniform: np.ndarray | None = None,
-) -> Tensor:
-    """Inverted dropout: zero each element with probability ``rate`` and
-    scale survivors by 1/(1-rate). Identity when not training or rate is 0.
-    ``uniform`` optionally supplies the U[0, 1) samples, one per element,
-    instead of drawing them from ``rng``."""
+def dropout(x: Tensor, rate: float, uniform: np.ndarray | None = None) -> Tensor:
+    """Inverted dropout: zero each element whose U[0, 1) draw in ``uniform``
+    (one per element) is below ``rate`` and scale survivors by 1/(1-rate).
+    Identity without draws or at rate 0; the caller owns the randomness."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
+    if uniform is None or rate == 0.0:
         return x
-    if uniform is None:
-        if not isinstance(rng, np.random.Generator):
-            rng = np.random.default_rng(rng)
-        uniform = rng.random(x.data.shape)
     keep = uniform >= rate
     mask = Tensor((keep / (1.0 - rate)).astype(x.data.dtype))
     return mul(x, mask)

@@ -14,12 +14,15 @@ Encoding, teacher-forced decoding and the loss take one sentence (1-D ids,
 (B, length, d_model) activations) with boolean masks marking each real
 prefix. A batch runs as one pass and gives every sentence the floats it
 would get on its own at the batch's padded width; k-means and the cluster
-tables are still per sentence. Greedy decoding sorts the sentences by length
+tables are still per sentence. Training, with its dropout draws, and
+serving reach the two stacks through the same ``encode`` and
+``decode_forward``. Greedy decoding sorts the sentences by length
 and encodes each chunk of them as one padded batch, k-means still per
 sentence; a memory row then matches encoding its sentence alone up to
 rounding (within 1e-12 relative in f64). The chunk decodes in lockstep
-through ``IncrementalDecoder``: one new (batch, d_model) row per step, each
-attention's per-head projections fused into one product, each layer's
+through ``IncrementalDecoder``: one new (batch, d_model) row per step, heads
+in training's (batch, heads, rows, d_k) layout, each attention's per-head
+projections fused into one product, each layer's
 self-attention keys and values cached and the memory's cross-attention keys
 and values projected once. The emitted tokens are those of re-running the
 teacher-forced decoder over the whole prefix for each token, unless two
@@ -33,7 +36,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .cluster import ClusterResult, kmeans_fit
-from .corpus import PAD_ID, BOS_ID, EOS_ID
+from .corpus import PAD_ID, BOS_ID, EOS_ID, _pad_block
 from .layers import (
     FeedForward,
     LayerNormParams,
@@ -53,7 +56,6 @@ from .tensor import (
     gated_heads,
     masked_cross_entropy,
     matmul,
-    merge_heads,
     mul,
     pick_rows,
 )
@@ -313,9 +315,6 @@ class KTransformer:
         cuts = np.cumsum([n * d for n in lengths])[:-1]
         return [u.reshape(lead + (n, d)) for u, n in zip(np.split(flat, cuts, axis=-1), lengths)]
 
-    def _dropout_in(self, x: Tensor, uniform) -> Tensor:
-        return dropout(x, self.config.dropout, None, uniform is not None, uniform=uniform)
-
     def _cluster_bias_tables(self, emb: np.ndarray, mask: np.ndarray):
         """k-means on each sentence's real token embeddings, and the constant
         tables of the cluster bias: the same-cluster indicator, (B, 1, n, n),
@@ -343,21 +342,19 @@ class KTransformer:
                     aff[i, h, :n_real, :n_real] = cos[h % cos.shape[0]]
         return results, same, aff
 
-    def encode(self, src_ids, src_mask=None, training: bool = False, rng=None):
+    def encode(self, src_ids, src_mask=None, uniform=None):
         """Run the encoder over one (possibly PAD-suffixed) source sentence,
-        or over a (B, n) batch of them.
+        or over a (B, n) batch of them. ``uniform`` holds the U[0, 1) draws
+        of input dropout, one per element of the embedded input; without
+        draws there is no dropout.
 
         Returns (memory, cluster result); for a batch, the cluster slot is
         the list of per-sentence results. It is None when cluster_mode is
         off. Padded rows pass through the stack but are excluded from every
         attention softmax via the mask.
         """
-        ids = _check_ids(src_ids, self.config.vocab_src, "source")
-        (uniform,) = self._dropout_draws(training, rng, ids.shape[:-1], (ids.shape[-1],))
-        return self._encode(ids, src_mask, uniform)
-
-    def _encode(self, ids: np.ndarray, src_mask, uniform):
         cfg = self.config
+        ids = _check_ids(src_ids, cfg.vocab_src, "source")
         n = ids.shape[-1]
         if n > cfg.max_len:
             raise ValueError(f"source length {n} exceeds max_len {cfg.max_len}")
@@ -370,8 +367,7 @@ class KTransformer:
             if ids.ndim == 1:
                 results, tables = results[0], [None if t is None else t[0] for t in tables]
 
-        x = add(emb, Tensor(self.pe.data[:n]))
-        x = self._dropout_in(x, uniform)
+        x = dropout(add(emb, Tensor(self.pe.data[:n])), cfg.dropout, uniform)
         keep = mask[..., None, None, :]
         for layer in self.encoder:
             gains = (layer.bias.gain_same, layer.bias.gain_affinity)
@@ -382,16 +378,13 @@ class KTransformer:
             x = residual_layernorm(x, feed_forward(layer.ffn, x), layer.ln2)
         return x, results
 
-    def decode_forward(self, tgt_ids, memory: Tensor, tgt_mask=None, src_mask=None, training: bool = False, rng=None) -> Tensor:
+    def decode_forward(self, tgt_ids, memory: Tensor, tgt_mask=None, src_mask=None, uniform=None) -> Tensor:
         """Teacher-forced decoder pass: causal self-attention, cross-attention
         over the encoder memory, FFN; returns (m, vocab_tgt) logits, or
-        (B, m, vocab_tgt) for a batch of ids with (B, s, d_model) memory."""
-        ids = _check_ids(tgt_ids, self.config.vocab_tgt, "target")
-        (uniform,) = self._dropout_draws(training, rng, ids.shape[:-1], (ids.shape[-1],))
-        return self._decode(ids, memory, tgt_mask, src_mask, uniform)
-
-    def _decode(self, ids: np.ndarray, memory: Tensor, tgt_mask, src_mask, uniform) -> Tensor:
+        (B, m, vocab_tgt) for a batch of ids with (B, s, d_model) memory.
+        ``uniform`` holds the input dropout draws, as for ``encode``."""
         cfg = self.config
+        ids = _check_ids(tgt_ids, cfg.vocab_tgt, "target")
         m = ids.shape[-1]
         if m > cfg.max_len + 1:
             raise ValueError(f"decoder input length {m} exceeds {cfg.max_len + 1}")
@@ -407,8 +400,7 @@ class KTransformer:
         keep_self = (causal & mask[..., None, :])[..., None, :, :]
         keep_cross = smask[..., None, None, :]
 
-        x = add(pick_rows(self.tgt_embed, ids), Tensor(self.pe.data[:m]))
-        x = self._dropout_in(x, uniform)
+        x = dropout(add(pick_rows(self.tgt_embed, ids), Tensor(self.pe.data[:m])), cfg.dropout, uniform)
         for layer in self.decoder:
             sa = multi_head_attention(x, x, x, layer.self_attn, keep=keep_self)
             x = residual_layernorm(x, sa, layer.ln1)
@@ -440,8 +432,8 @@ class KTransformer:
         target = np.where(np.arange(width) == m_real, EOS_ID, target)
 
         enc_u, dec_u = self._dropout_draws(training, rng, lead, (sids.shape[-1], width))
-        memory, _ = self._encode(sids, src_mask, enc_u)
-        logits = self._decode(dec_in, memory, dec_mask, src_mask, dec_u)
+        memory, _ = self.encode(sids, src_mask, enc_u)
+        logits = self.decode_forward(dec_in, memory, dec_mask, src_mask, dec_u)
         return loss(logits, target)
 
     def greedy_translate(self, src_ids, src_mask=None, max_out_len: int | None = None) -> list[int]:
@@ -455,8 +447,8 @@ class KTransformer:
         final <EOS> is stripped, any other reserved id is kept as emitted.
         Argmax ties resolve to the lowest token id.
 
-        The sentences are sorted by real length and cut into chunks of up to
-        ``DECODE_BATCH``. Each chunk is encoded as one padded (B, width)
+        The sentences, each cut to its real prefix, are sorted by length and
+        cut into chunks of up to ``DECODE_BATCH``. Each chunk is encoded as one padded (B, width)
         batch, with k-means and the cluster tables still per sentence on its
         real rows, and then decodes in lockstep through
         ``IncrementalDecoder``. At the chunk's padded width a memory row
@@ -471,22 +463,17 @@ class KTransformer:
         masks = [None] * len(sources) if src_masks is None else list(src_masks)
         if len(masks) != len(sources):
             raise ValueError(f"{len(masks)} source masks for {len(sources)} sources")
-        checked = []
+        real = []
         for ids, mask in zip(sources, masks):
             ids = _check_ids(ids, self.config.vocab_src, "source")
             if ids.ndim != 1:
                 raise ValueError(f"greedy decoding takes 1-D source sentences, got shape {ids.shape}")
-            checked.append((ids, _check_mask(mask, ids, "source")))
-        order = sorted(range(len(checked)), key=lambda i: int(checked[i][1].sum()))
-        out: list[list[int]] = [[] for _ in checked]
+            real.append(ids[_check_mask(mask, ids, "source")])
+        order = sorted(range(len(real)), key=lambda i: len(real[i]))
+        out: list[list[int]] = [[] for _ in real]
         for start in range(0, len(order), DECODE_BATCH):
             chunk = order[start : start + DECODE_BATCH]
-            width = max(checked[i][0].shape[0] for i in chunk)
-            src = np.full((len(chunk), width), PAD_ID, dtype=np.int64)
-            src_mask = np.zeros((len(chunk), width), dtype=bool)
-            for row, i in enumerate(chunk):
-                n = checked[i][0].shape[0]
-                src[row, :n], src_mask[row, :n] = checked[i]
+            src, src_mask = _pad_block([real[i] for i in chunk])
             memory, _ = self.encode(src, src_mask)
             decoder = IncrementalDecoder(self, memory, src_mask)
             active = np.array(chunk)
@@ -528,10 +515,10 @@ class IncrementalDecoder:
     and the memory's keys and values with one (d_model, 2 * d_model)
     product. The fused weights belong to this decoder, not to the model, so
     they always match the parameters it was built from. Per-head tensors are
-    head-major (heads * batch, rows, d_k) stacks, so every (head, sentence)
-    pair is one attention problem. The logits equal the last row of a
-    teacher-forced ``decode_forward`` over the same prefix, up to rounding
-    (within 1e-12 relative in f64). No tape is recorded.
+    (batch, heads, rows, d_k) stacks, the layout of training's attention.
+    The logits equal the last row of a teacher-forced ``decode_forward``
+    over the same prefix, up to rounding (within 1e-12 relative in f64). No
+    tape is recorded.
     """
 
     def __init__(self, model: KTransformer, memory: Tensor, src_mask: np.ndarray):
@@ -541,7 +528,6 @@ class IncrementalDecoder:
         keep = np.asarray(src_mask, dtype=bool)
         if memory.data.ndim != 3 or keep.shape != memory.data.shape[:2]:
             raise ValueError(f"memory {memory.data.shape} and source mask {keep.shape} are not (batch, s, d), (batch, s)")
-        b, s = keep.shape
         self.weights = [
             (_fused(layer.self_attn.wq + layer.self_attn.wk + layer.self_attn.wv), _fused(layer.cross_attn.wq))
             for layer in model.decoder
@@ -549,22 +535,23 @@ class IncrementalDecoder:
         self.memory = [
             tuple(self._project(memory, _fused(layer.cross_attn.wk + layer.cross_attn.wv))) for layer in model.decoder
         ]
-        self.memory_keep = np.broadcast_to(keep[None, :, None, :], (self.heads, b, 1, s)).reshape(-1, 1, s)
-        empty = np.zeros((self.heads * b, 0, self.d_k), dtype=model.dtype)
+        self.memory_keep = keep[:, None, None, :]
+        empty = np.zeros((keep.shape[0], self.heads, 0, self.d_k), dtype=model.dtype)
         self.cache = [(empty, empty) for _ in model.decoder]
         self.length = 0
 
     def _project(self, x: Tensor, w: Tensor) -> np.ndarray:
         """x @ w for (batch, d_model) rows or a (batch, rows, d_model) batch
         and a fused weight of p (d_model, d_model) blocks, each block cut into
-        head-major stacks: (p, heads * batch, rows, d_k)."""
+        per-head stacks: (p, batch, heads, rows, d_k)."""
         b, rows = x.data.shape[0], x.data.shape[1] if x.data.ndim == 3 else 1
-        y = matmul(x, w).data.reshape(b, rows, -1, self.heads, self.d_k).transpose(2, 3, 0, 1, 4)
-        return y.reshape(y.shape[0], self.heads * b, rows, self.d_k)
+        y = matmul(x, w).data.reshape(b, rows, -1, self.heads, self.d_k)
+        return np.ascontiguousarray(y.transpose(2, 0, 3, 1, 4))
 
     def _attend(self, q: np.ndarray, wo: Tensor, k: np.ndarray, v: np.ndarray, keep=None) -> Tensor:
         out, _ = scaled_dot_attention(Tensor(q), Tensor(k), Tensor(v), keep=keep)
-        return matmul(merge_heads(Tensor(out.data.reshape(self.heads, -1, self.d_k))), wo)
+        # one query row per sentence: (batch, heads, 1, d_k) is already the head concatenation
+        return matmul(Tensor(out.data.reshape(q.shape[0], -1)), wo)
 
     def step(self, ids) -> np.ndarray:
         """Decode one position for every sentence; see the class docstring."""
@@ -575,8 +562,8 @@ class IncrementalDecoder:
         for li, layer in enumerate(m.decoder):
             w_qkv, w_q = self.weights[li]
             q, k, v = self._project(x, w_qkv)
-            k = np.concatenate([self.cache[li][0], k], axis=1)
-            v = np.concatenate([self.cache[li][1], v], axis=1)
+            k = np.concatenate([self.cache[li][0], k], axis=2)
+            v = np.concatenate([self.cache[li][1], v], axis=2)
             self.cache[li] = (k, v)
             x = residual_layernorm(x, self._attend(q, layer.self_attn.wo, k, v), layer.ln1)
             (q,) = self._project(x, w_q)
@@ -587,13 +574,9 @@ class IncrementalDecoder:
 
     def keep_rows(self, rows: np.ndarray) -> None:
         """Keep only the sentences at ``rows`` (indices into the current batch)."""
-
-        def pick(a: np.ndarray) -> np.ndarray:
-            return a.reshape(self.heads, -1, *a.shape[1:])[:, rows].reshape(-1, *a.shape[1:])
-
-        self.cache = [(pick(k), pick(v)) for k, v in self.cache]
-        self.memory = [(pick(k), pick(v)) for k, v in self.memory]
-        self.memory_keep = pick(self.memory_keep)
+        self.cache = [(k[rows], v[rows]) for k, v in self.cache]
+        self.memory = [(k[rows], v[rows]) for k, v in self.memory]
+        self.memory_keep = self.memory_keep[rows]
 
 
 def loss(logits: Tensor, target_ids) -> Tensor:

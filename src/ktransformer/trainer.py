@@ -46,6 +46,7 @@ class TrainConfig:
 
     The default learning rate is the desk-scale 3e-4; the configuration
     accepts any positive value for callers who want the literature's 0.5.
+    Adam's beta1, beta2 and eps are ``AdamState``'s defaults.
     """
 
     out_dir: str | Path
@@ -55,9 +56,6 @@ class TrainConfig:
     batch_size: int = 16
     val_interval: int = 0
     grad_clip: float = 1.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
 
     def validate(self) -> None:
@@ -69,8 +67,6 @@ class TrainConfig:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
         if self.grad_clip < 0:
             raise ValueError("grad_clip must be nonnegative (0 disables clipping)")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1 and self.eps > 0):
-            raise ValueError("Adam hyperparameters out of range")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 
@@ -83,6 +79,8 @@ class AdamState:
         # is the layer that insists on a positive rate.
         if lr < 0:
             raise ValueError(f"learning rate must be nonnegative, got {lr}")
+        if not (0 <= beta1 < 1 and 0 <= beta2 < 1 and eps > 0):
+            raise ValueError("Adam hyperparameters out of range")
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
@@ -223,8 +221,9 @@ def _entries(value, what: str) -> list[dict]:
 
 
 def _read_entry(buffer: bytes, entry: dict, offset: int, like: np.ndarray) -> np.ndarray:
-    """The array that ``entry`` describes, which must start at ``offset``
-    and have the shape and element type of ``like``."""
+    """The array that ``entry`` describes, which must start at ``offset``,
+    have the shape and element type of ``like`` and hold only finite
+    values."""
     name, code = entry["name"], _dtype_code(like.dtype)
     if entry["offset"] != offset:
         raise CheckpointError(f"manifest/buffer offset inconsistency at {name!r}")
@@ -235,7 +234,10 @@ def _read_entry(buffer: bytes, entry: dict, offset: int, like: np.ndarray) -> np
         raise CheckpointError(f"shape mismatch for {name!r}: {stored} vs {like.shape}")
     if offset + like.nbytes > len(buffer):
         raise CheckpointError(f"checkpoint truncated inside {name!r}")
-    return np.frombuffer(buffer, dtype=code, count=like.size, offset=offset).reshape(like.shape).astype(like.dtype)
+    arr = np.frombuffer(buffer, dtype=code, count=like.size, offset=offset).reshape(like.shape).astype(like.dtype)
+    if not np.isfinite(arr).all():
+        raise CheckpointError(f"non-finite values in {name!r}")
+    return arr
 
 
 @dataclass
@@ -278,10 +280,11 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
     """Rebuild model, optimizer state, and vocabularies from a checkpoint.
 
     Verifies the magic, format version, the manifest's structure, its
-    buffer offsets and shapes, the buffer hash, the embedded profiles, and
-    that each embedded vocabulary is valid and matches the model's
-    vocabulary size, so any truncation, corruption or mismatch is an
-    explicit error."""
+    buffer offsets and shapes, the buffer hash, that every parameter and
+    Adam moment is finite, the Adam step counter and hyperparameters, the
+    embedded profiles, and that each embedded vocabulary is valid and
+    matches the model's vocabulary size, so any truncation, corruption or
+    mismatch is an explicit error."""
     try:
         data = Path(path).read_bytes()
     except OSError as e:
@@ -327,7 +330,8 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
     adam = manifest.get("adam")
     if adam is not None:
         hyper = ("lr", "beta1", "beta2", "eps")
-        well_formed = isinstance(adam, dict) and isinstance(adam.get("t"), int)
+        t = adam.get("t") if isinstance(adam, dict) else None
+        well_formed = isinstance(t, int) and not isinstance(t, bool) and t >= 0
         if not (well_formed and all(isinstance(adam.get(k), (int, float)) for k in hyper)):
             raise CheckpointError("malformed optimizer state in checkpoint manifest")
         try:
@@ -414,7 +418,7 @@ def train(
     final_path = out_dir / "final.ckpt"
     best_path = out_dir / "best.ckpt"
     params = model.parameters()
-    state = AdamState(params, lr=config.lr, beta1=config.beta1, beta2=config.beta2, eps=config.eps)
+    state = AdamState(params, lr=config.lr)
     meta = dict(
         vocab_src=vocab_src,
         vocab_tgt=vocab_tgt,

@@ -332,6 +332,27 @@ def test_translate_malformed_manifest_is_data_error(workdir, capsys, edit):
     assert not out.exists()
 
 
+def test_translate_non_finite_checkpoint_is_data_error(workdir, capsys):
+    # one NaN in the embedding row of "b": lines without "b" would translate
+    from ktransformer.corpus import Vocabulary
+    from ktransformer.model import KTransformer, ModelConfig
+    from ktransformer.trainer import save_checkpoint
+
+    model = KTransformer(ModelConfig(vocab_src=8, vocab_tgt=8, d_model=8, heads=2, d_ff=16,
+                                     layers_enc=1, layers_dec=1, max_len=10))
+    vocab = Vocabulary(["a", "b", "c", "d"])
+    model.src_embed.data[vocab.id_of("b"), 0] = np.nan
+    path = workdir / "nan.ckpt"
+    save_checkpoint(model, path, vocab_src=vocab, vocab_tgt=vocab)
+    inp = workdir / "in.txt"
+    inp.write_text("a b\n", encoding="utf-8")
+    out = workdir / "o.txt"
+    rc = main(["translate", "--checkpoint", str(path), "--input", str(inp), "--output", str(out)])
+    assert rc == EXIT_DATA
+    assert capsys.readouterr().err.startswith("data error:")
+    assert not out.exists()
+
+
 def test_translate_past_positional_table_is_usage_error(workdir):
     from ktransformer.corpus import Vocabulary
     from ktransformer.model import KTransformer, ModelConfig

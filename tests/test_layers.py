@@ -367,19 +367,19 @@ def test_residual_layernorm_rows_standardized():
 
 def test_dropout_eval_mode_is_identity():
     x = t64(np.random.default_rng(0).normal(size=(10, 10)))
-    out = dropout(x, 0.5, rng=1, training=False)
+    out = dropout(x, 0.5)
     assert out is x
 
 
 def test_dropout_rate_zero_is_identity():
     x = t64(np.random.default_rng(0).normal(size=(4, 4)))
-    out = dropout(x, 0.0, rng=1, training=True)
+    out = dropout(x, 0.0, uniform=np.random.default_rng(1).random(x.data.shape))
     assert np.array_equal(out.data, x.data)
 
 
 def test_dropout_statistics():
     x = Tensor(np.ones((100, 100)), dtype=np.float64)
-    out = dropout(x, 0.1, rng=np.random.default_rng(123), training=True)
+    out = dropout(x, 0.1, uniform=np.random.default_rng(123).random(x.data.shape))
     survived = np.count_nonzero(out.data) / out.data.size
     assert abs(survived - 0.9) < 0.02
     # inverted scaling keeps the mean near 1
@@ -391,23 +391,23 @@ def test_dropout_statistics():
 
 def test_dropout_seeded_repeatable():
     x = t64(np.random.default_rng(0).normal(size=(20, 20)))
-    a = dropout(x, 0.3, rng=np.random.default_rng(9), training=True)
-    b = dropout(x, 0.3, rng=np.random.default_rng(9), training=True)
+    a = dropout(x, 0.3, uniform=np.random.default_rng(9).random(x.data.shape))
+    b = dropout(x, 0.3, uniform=np.random.default_rng(9).random(x.data.shape))
     assert a.data.tobytes() == b.data.tobytes()
 
 
 def test_dropout_rate_bounds():
     x = t64(np.ones((2, 2)))
     with pytest.raises(ValueError):
-        dropout(x, 1.0, rng=0, training=True)
+        dropout(x, 1.0, uniform=np.random.default_rng(0).random(x.data.shape))
     with pytest.raises(ValueError):
-        dropout(x, -0.1, rng=0, training=True)
+        dropout(x, -0.1, uniform=np.random.default_rng(0).random(x.data.shape))
 
 
 def test_dropout_gradient_masks_match_forward():
     x = Tensor(np.ones((6, 6)), requires_grad=True, dtype=np.float64)
     with GradientTape() as tape:
-        out = dropout(x, 0.5, rng=np.random.default_rng(2), training=True)
+        out = dropout(x, 0.5, uniform=np.random.default_rng(2).random(x.data.shape))
         loss = T.sum_all(out)
     backward(loss, tape)
     dropped = out.data == 0.0

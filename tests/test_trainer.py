@@ -268,6 +268,10 @@ def _edit_adam(m, **changes):
         pytest.param(lambda m: {**m, "adam": {}}, "malformed optimizer state", id="adam-empty"),
         pytest.param(lambda m: _edit_adam(m, lr="fast"), "malformed optimizer state", id="adam-lr-str"),
         pytest.param(lambda m: _edit_adam(m, lr=-1.0), "invalid optimizer state", id="adam-lr-neg"),
+        # a step counter of -1 makes the next bias correction divide by zero
+        pytest.param(lambda m: _edit_adam(m, t=-1), "malformed optimizer state", id="adam-t-negative"),
+        pytest.param(lambda m: _edit_adam(m, t=True), "malformed optimizer state", id="adam-t-bool"),
+        pytest.param(lambda m: _edit_adam(m, beta1=1.0), "invalid optimizer state", id="adam-beta1-one"),
         pytest.param(lambda m: _edit_adam(m, moments=5), "malformed optimizer entries", id="moments-int"),
         pytest.param(
             # every v buffer relabelled as an m buffer: the v moments would load as zeros
@@ -307,6 +311,21 @@ def test_malformed_manifest_is_checkpoint_error(tmp_path, edit, match):
     assert load_checkpoint(path).state is not None
     _rewrite_manifest(path, edit)
     with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+@pytest.mark.parametrize("name", ["src_embed", "v.src_embed"])
+def test_non_finite_checkpoint_value_is_checkpoint_error(tmp_path, precision, name):
+    # the buffer hash proves only that the bytes are intact: a NaN weight or
+    # moment must still not load
+    model = tiny_model(precision=precision)
+    state = AdamState(model.parameters())
+    target = state.v["src_embed"] if name.startswith("v.") else model.src_embed.data
+    target[5, 0] = np.nan
+    path = tmp_path / "nan.ckpt"
+    save_checkpoint(model, path, state=state)
+    with pytest.raises(CheckpointError, match=f"non-finite values in '{name}'"):
         load_checkpoint(path)
 
 
