@@ -27,6 +27,7 @@ from .corpus import (
     _read_lines,
     build_vocab,
     decode,
+    encode,
     preprocess,
     retained_indices,
 )
@@ -150,7 +151,7 @@ def cmd_translate(args) -> int:
     lines = _read_lines(args.input)
     tokenized = [preprocess(line, profile)[: model.config.max_len] for line in lines]
     todo = [i for i, tokens in enumerate(tokenized) if tokens]
-    sources = [[loaded.vocab_src.id_of(t) for t in tokenized[i]] for i in todo]
+    sources = [encode(tokenized[i], loaded.vocab_src) for i in todo]
     out_lines = [""] * len(lines)
     for i, out_ids in zip(todo, model.greedy_translate_batch(sources, max_out_len=args.max_out_len)):
         out_lines[i] = " ".join(decode(out_ids, loaded.vocab_tgt))
@@ -264,27 +265,17 @@ def cmd_report(args) -> int:
     except ValueError:
         raise ConfigError(f"--buckets expects comma-separated integers, got {args.buckets!r}") from None
 
-    ref_lines = _read_lines(args.ref)
-    refs = [l.split() for l in ref_lines]
-    for i, r in enumerate(refs, start=1):
-        if not r:
-            raise DataError(f"reference line {i} in {args.ref} is empty")
+    pairs_by_system = {name: _aligned_token_pairs(path, args.ref) for name, path in systems}
     if args.src:
-        src_lines = _read_lines(args.src)
-        if len(src_lines) != len(refs):
-            raise DataError(f"alignment mismatch: {args.src} vs {args.ref}")
+        src_lines, _ = _read_aligned(args.src, args.ref)
         lengths = [max(len(l.split()), 1) for l in src_lines]
     else:
         # no source file given: bucket by reference length as the stand-in
-        lengths = [len(r) for r in refs]
+        lengths = [len(r) for _, r in pairs_by_system[systems[0][0]]]
 
     rows_by_system: dict[str, list[BucketRow]] = {}
     overall: dict[str, float] = {}
-    for name, path in systems:
-        hyp_lines = _read_lines(path)
-        if len(hyp_lines) != len(refs):
-            raise DataError(f"alignment mismatch: {path} vs {args.ref}")
-        pairs = [(h.split(), r) for h, r in zip(hyp_lines, refs)]
+    for name, pairs in pairs_by_system.items():
         rows_by_system[name] = length_bucket_report(pairs, edges, lengths=lengths)
         overall[name] = corpus_bleu(pairs).score
 

@@ -157,20 +157,9 @@ def build_vocab(sentences: Iterable[Sequence[str]], max_size: int, min_freq: int
     return Vocabulary(kept)
 
 
-@dataclass
-class TokenSequence:
-    """One sentence as vocabulary ids plus its original surface tokens."""
-
-    ids: list[int]
-    raw: list[str]
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-
-def encode(tokens: Sequence[str], vocab: Vocabulary) -> TokenSequence:
+def encode(tokens: Sequence[str], vocab: Vocabulary) -> list[int]:
     """Map surface tokens to ids; out-of-vocabulary tokens become <UNK>."""
-    return TokenSequence(ids=[vocab.id_of(t) for t in tokens], raw=list(tokens))
+    return [vocab.id_of(t) for t in tokens]
 
 
 def decode(ids: Sequence[int], vocab: Vocabulary) -> list[str]:
@@ -297,9 +286,7 @@ def make_batches(
     batches = []
     for lo in range(0, len(kept), batch_size):
         chosen = [kept[j] for j in order[lo : lo + batch_size]]
-        src_rows = [[vocab_src.id_of(t) for t in corpus.src[i]] for i in chosen]
-        tgt_rows = [[vocab_tgt.id_of(t) for t in corpus.tgt[i]] for i in chosen]
-        src_ids, src_mask = _pad_block(src_rows)
-        tgt_ids, tgt_mask = _pad_block(tgt_rows)
+        src_ids, src_mask = _pad_block([encode(corpus.src[i], vocab_src) for i in chosen])
+        tgt_ids, tgt_mask = _pad_block([encode(corpus.tgt[i], vocab_tgt) for i in chosen])
         batches.append(Batch(src_ids=src_ids, src_mask=src_mask, tgt_ids=tgt_ids, tgt_mask=tgt_mask))
     return batches

@@ -81,9 +81,9 @@ class LayerNormParams:
         return {"gain": self.gain, "shift": self.shift}
 
 
-def residual_layernorm(x: Tensor, sublayer_out: Tensor, ln: LayerNormParams, eps: float = 1e-5) -> Tensor:
+def residual_layernorm(x: Tensor, sublayer_out: Tensor, ln: LayerNormParams) -> Tensor:
     """Post-norm residual connection: layernorm(x + sublayer_out)."""
-    return layernorm_rows(add(x, sublayer_out), ln.gain, ln.shift, eps=eps)
+    return layernorm_rows(add(x, sublayer_out), ln.gain, ln.shift)
 
 
 def scaled_dot_attention(
@@ -152,14 +152,15 @@ class MultiHeadAttention:
 
 def multi_head_attention(
     q_in: Tensor,
-    k_in: Tensor,
-    v_in: Tensor,
+    kv_in: Tensor,
     mha: MultiHeadAttention,
     bias: Tensor | None = None,
     keep: np.ndarray | None = None,
 ) -> Tensor:
-    """Concat_i head_i(Q W_i^Q, K W_i^K, V W_i^V) projected by W^O, for
-    (n, d_model) inputs or (B, n, d_model) batches.
+    """Concat_i head_i(X W_i^Q, M W_i^K, M W_i^V) projected by W^O, for
+    (n, d_model) inputs or (B, n, d_model) batches, with X = ``q_in`` and
+    M = ``kv_in``: ``q_in`` itself for self-attention, the encoder memory
+    for cross-attention.
 
     Each head's projections run in head order (q, k, v), then all heads
     share one stacked (..., heads, n, d_k) attention chain; the tape
@@ -169,7 +170,7 @@ def multi_head_attention(
     signal plugs into.
     """
     heads = zip(mha.wq, mha.wk, mha.wv)
-    projected = [(matmul(q_in, wq), matmul(k_in, wk), matmul(v_in, wv)) for wq, wk, wv in heads]
+    projected = [(matmul(q_in, wq), matmul(kv_in, wk), matmul(kv_in, wv)) for wq, wk, wv in heads]
     q, k, v = (stack(parts) for parts in zip(*projected))
     out, _ = scaled_dot_attention(q, k, v, bias=bias, keep=keep)
     return matmul(merge_heads(out), mha.wo)

@@ -300,16 +300,14 @@ class KTransformer:
         k_eff = min(self.config.clusters_k, n)
         return kmeans_fit(embeddings.data, k_eff, seed=self.config.cluster_seed)
 
-    def _dropout_draws(self, training: bool, rng, lead: tuple[int, ...], lengths: tuple[int, ...]) -> list:
-        """U[0, 1) samples for input dropout at each site of a sentence,
-        (length, d_model) each, for every sentence in turn: sentence 0's
-        sites in order, then sentence 1's, and so on. That is the order in
-        which running the sentences one at a time draws them, so a batch
-        gets the same masks. Nones when dropout is inactive."""
-        if not training or self.config.dropout == 0.0:
+    def _dropout_draws(self, rng: np.random.Generator | None, lead: tuple[int, ...], lengths: tuple[int, ...]) -> list:
+        """U[0, 1) samples from ``rng`` for input dropout at each site of a
+        sentence, (length, d_model) each, for every sentence in turn:
+        sentence 0's sites in order, then sentence 1's, and so on. That is
+        the order in which running the sentences one at a time draws them,
+        so a batch gets the same masks. Nones without an rng or at rate 0."""
+        if rng is None or self.config.dropout == 0.0:
             return [None] * len(lengths)
-        if not isinstance(rng, np.random.Generator):
-            rng = np.random.default_rng(rng)
         d = self.config.d_model
         flat = rng.random(lead + (sum(lengths) * d,))
         cuts = np.cumsum([n * d for n in lengths])[:-1]
@@ -373,7 +371,7 @@ class KTransformer:
             gains = (layer.bias.gain_same, layer.bias.gain_affinity)
             terms = [(g, t) for g, t in zip(gains, tables) if t is not None]
             bias = gated_heads(terms) if terms else None
-            attn = multi_head_attention(x, x, x, layer.attn, bias=bias, keep=keep)
+            attn = multi_head_attention(x, x, layer.attn, bias=bias, keep=keep)
             x = residual_layernorm(x, attn, layer.ln1)
             x = residual_layernorm(x, feed_forward(layer.ffn, x), layer.ln2)
         return x, results
@@ -402,20 +400,21 @@ class KTransformer:
 
         x = dropout(add(pick_rows(self.tgt_embed, ids), Tensor(self.pe.data[:m])), cfg.dropout, uniform)
         for layer in self.decoder:
-            sa = multi_head_attention(x, x, x, layer.self_attn, keep=keep_self)
+            sa = multi_head_attention(x, x, layer.self_attn, keep=keep_self)
             x = residual_layernorm(x, sa, layer.ln1)
-            ca = multi_head_attention(x, memory, memory, layer.cross_attn, keep=keep_cross)
+            ca = multi_head_attention(x, memory, layer.cross_attn, keep=keep_cross)
             x = residual_layernorm(x, ca, layer.ln2)
             x = residual_layernorm(x, feed_forward(layer.ffn, x), layer.ln3)
         return matmul(x, self.out_proj)
 
-    def sequence_loss(self, src_ids, tgt_ids, src_mask=None, tgt_mask=None, training: bool = False, rng=None) -> Tensor:
+    def sequence_loss(self, src_ids, tgt_ids, src_mask=None, tgt_mask=None, rng=None) -> Tensor:
         """Teacher-forced cross-entropy for one sentence pair (a scalar), or
         for each pair of a padded (B, n) batch (a (B,) vector).
 
         The decoder reads <BOS> + target and the loss compares against
         target + <EOS>; padding positions are excluded from each mean. The
-        whole batch is one pass; dropout masks are drawn sentence by
+        whole batch is one pass. Dropout is on exactly when a numpy
+        Generator ``rng`` is given: its masks are drawn from it sentence by
         sentence, encoder input then decoder input, as one sentence at a
         time would draw them.
         """
@@ -431,24 +430,25 @@ class KTransformer:
         target = np.concatenate([tids, np.full(lead + (1,), PAD_ID, dtype=np.int64)], axis=-1)
         target = np.where(np.arange(width) == m_real, EOS_ID, target)
 
-        enc_u, dec_u = self._dropout_draws(training, rng, lead, (sids.shape[-1], width))
+        enc_u, dec_u = self._dropout_draws(rng, lead, (sids.shape[-1], width))
         memory, _ = self.encode(sids, src_mask, enc_u)
         logits = self.decode_forward(dec_in, memory, dec_mask, src_mask, dec_u)
         return loss(logits, target)
 
-    def greedy_translate(self, src_ids, src_mask=None, max_out_len: int | None = None) -> list[int]:
+    def greedy_translate(self, src_ids, max_out_len: int | None = None) -> list[int]:
         """Greedy decoding of one sentence; see ``greedy_translate_batch``."""
-        return self.greedy_translate_batch([src_ids], None if src_mask is None else [src_mask], max_out_len)[0]
+        return self.greedy_translate_batch([src_ids], max_out_len)[0]
 
-    def greedy_translate_batch(self, sources, src_masks=None, max_out_len: int | None = None) -> list[list[int]]:
-        """Deterministic greedy decoding of every source sentence: argmax
-        token by token from <BOS> until <EOS> or the length cap (max_len by
-        default). Returns each sentence's emitted ids in input order; the
-        final <EOS> is stripped, any other reserved id is kept as emitted.
-        Argmax ties resolve to the lowest token id.
+    def greedy_translate_batch(self, sources, max_out_len: int | None = None) -> list[list[int]]:
+        """Deterministic greedy decoding of every source sentence, each a
+        1-D sequence of ids with no padding: argmax token by token from
+        <BOS> until <EOS> or the length cap (max_len by default). Returns
+        each sentence's emitted ids in input order; the final <EOS> is
+        stripped, any other reserved id is kept as emitted. Argmax ties
+        resolve to the lowest token id.
 
-        The sentences, each cut to its real prefix, are sorted by length and
-        cut into chunks of up to ``DECODE_BATCH``. Each chunk is encoded as one padded (B, width)
+        The sentences are sorted by length and cut into chunks of up to
+        ``DECODE_BATCH``. Each chunk is encoded as one padded (B, width)
         batch, with k-means and the cluster tables still per sentence on its
         real rows, and then decodes in lockstep through
         ``IncrementalDecoder``. At the chunk's padded width a memory row
@@ -460,20 +460,14 @@ class KTransformer:
         cap = self.config.max_len if max_out_len is None else max_out_len
         if cap < 0:
             raise ValueError(f"max_out_len must be nonnegative, got {cap}")
-        masks = [None] * len(sources) if src_masks is None else list(src_masks)
-        if len(masks) != len(sources):
-            raise ValueError(f"{len(masks)} source masks for {len(sources)} sources")
-        real = []
-        for ids, mask in zip(sources, masks):
-            ids = _check_ids(ids, self.config.vocab_src, "source")
-            if ids.ndim != 1:
-                raise ValueError(f"greedy decoding takes 1-D source sentences, got shape {ids.shape}")
-            real.append(ids[_check_mask(mask, ids, "source")])
-        order = sorted(range(len(real)), key=lambda i: len(real[i]))
-        out: list[list[int]] = [[] for _ in real]
+        srcs = [_check_ids(ids, self.config.vocab_src, "source") for ids in sources]
+        if any(ids.ndim != 1 for ids in srcs):
+            raise ValueError("greedy decoding takes 1-D source sentences")
+        order = sorted(range(len(srcs)), key=lambda i: len(srcs[i]))
+        out: list[list[int]] = [[] for _ in srcs]
         for start in range(0, len(order), DECODE_BATCH):
             chunk = order[start : start + DECODE_BATCH]
-            src, src_mask = _pad_block([real[i] for i in chunk])
+            src, src_mask = _pad_block([srcs[i] for i in chunk])
             memory, _ = self.encode(src, src_mask)
             decoder = IncrementalDecoder(self, memory, src_mask)
             active = np.array(chunk)

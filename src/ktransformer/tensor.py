@@ -30,6 +30,9 @@ _SUPPORTED = (F32, F64)
 
 _PRECISIONS = {"f32": F32, "f64": F64}
 
+# added to each row's variance in ``layernorm_rows``
+LAYERNORM_EPS = 1e-5
+
 
 def dtype_of(precision: str) -> np.dtype:
     """Map a precision name ("f32" or "f64") to its numpy dtype."""
@@ -413,21 +416,21 @@ def masked_fill(x: Tensor, keep, fill: float) -> Tensor:
     return _emit((x,), np.where(keep, x.data, x.data.dtype.type(fill)), rule)
 
 
-def layernorm_rows(x: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-5) -> Tensor:
+def layernorm_rows(x: Tensor, gain: Tensor, shift: Tensor) -> Tensor:
     """Normalize each row of an (n, d) tensor or of each sentence of a
-    (B, n, d) batch to zero mean / unit population variance, then apply an
-    affine gain and shift over the feature axis."""
+    (B, n, d) batch to zero mean / unit population variance (with
+    ``LAYERNORM_EPS`` added to the variance), then apply an affine gain and
+    shift over the feature axis."""
     _check_same_dtype(x, gain, shift)
     d = x.data.shape[-1]
     if x.data.ndim not in (2, 3) or gain.data.shape != (d,) or shift.data.shape != (d,):
         raise ValueError(
             f"layernorm shapes: x {x.data.shape}, gain {gain.data.shape}, shift {shift.data.shape}"
         )
-    if eps <= 0:
-        raise ValueError("epsilon must be positive")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = ((x.data - mu) ** 2).mean(axis=-1, keepdims=True)
-    std = np.sqrt(var + x.data.dtype.type(eps))
+    # sum / d: ndarray.mean's own add.reduce and division, minus its slow Python wrapper
+    mu = x.data.sum(axis=-1, keepdims=True) / d
+    var = ((x.data - mu) ** 2).sum(axis=-1, keepdims=True) / d
+    std = np.sqrt(var + x.data.dtype.type(LAYERNORM_EPS))
     xhat = (x.data - mu) / std
     gd = gain.data
     fold = _fold if x.data.ndim == 3 else (lambda c: c)
@@ -437,7 +440,7 @@ def layernorm_rows(x: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-5) ->
         dshift = fold(g.sum(axis=-2))
         dxhat = g * gd
         dx = (
-            dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+            dxhat - dxhat.sum(axis=-1, keepdims=True) / d - xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True) / d)
         ) / std
         return dx, dgain, dshift
 

@@ -23,13 +23,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import PROFILES, ParallelCorpus, Vocabulary, decode, make_batches
+from .corpus import PROFILES, ParallelCorpus, Vocabulary, decode, encode, make_batches
 from .metrics import corpus_bleu
 from .model import KTransformer, ModelConfig
 from .tensor import GradientTape, Tensor, backward, scale, sum_all
 
 CHECKPOINT_MAGIC = b"KTRX0001"
 FORMAT_VERSION = 1
+
+# Adam's moment decay rates and denominator guard (Kingma & Ba, 2015)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class DivergenceError(Exception):
@@ -45,8 +50,9 @@ class TrainConfig:
     """Optimization schedule and bookkeeping knobs.
 
     The default learning rate is the desk-scale 3e-4; the configuration
-    accepts any positive value for callers who want the literature's 0.5.
-    Adam's beta1, beta2 and eps are ``AdamState``'s defaults.
+    accepts any finite positive value for callers who want the literature's
+    0.5. Adam's beta1, beta2 and eps are the constants ``ADAM_BETA1``,
+    ``ADAM_BETA2`` and ``ADAM_EPS``.
     """
 
     out_dir: str | Path
@@ -59,32 +65,28 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"learning rate must be finite and positive, got {self.lr}")
         if self.max_steps < 0 or self.warmup_steps < 0 or self.val_interval < 0:
             raise ValueError("step counts must be nonnegative")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
-        if self.grad_clip < 0:
-            raise ValueError("grad_clip must be nonnegative (0 disables clipping)")
+        if not (math.isfinite(self.grad_clip) and self.grad_clip >= 0):
+            raise ValueError(f"grad_clip must be finite and nonnegative (0 disables clipping), got {self.grad_clip}")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 
 
 class AdamState:
-    """First/second moment buffers plus the shared step counter."""
+    """First/second moment buffers, the learning rate and the shared step
+    counter; beta1, beta2 and eps are the module's ``ADAM_*`` constants."""
 
-    def __init__(self, params: dict[str, Tensor], lr: float = 3e-4, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor], lr: float = 3e-4):
         # lr 0 is allowed here and makes the update an identity; TrainConfig
         # is the layer that insists on a positive rate.
-        if lr < 0:
-            raise ValueError(f"learning rate must be nonnegative, got {lr}")
-        if not (0 <= beta1 < 1 and 0 <= beta2 < 1 and eps > 0):
-            raise ValueError("Adam hyperparameters out of range")
+        if not (math.isfinite(lr) and lr >= 0):
+            raise ValueError(f"learning rate must be finite and nonnegative, got {lr}")
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
         self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
@@ -120,18 +122,18 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: Ad
         if not np.all(np.isfinite(g)):
             raise DivergenceError(f"non-finite gradient for {name!r}; step rejected")
     state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
+    bc1 = 1.0 - ADAM_BETA1 ** state.t
+    bc2 = 1.0 - ADAM_BETA2 ** state.t
     lr = state.lr * float(lr_scale)  # a numpy scalar would promote f32 parameters
     for name, p in params.items():
         g = grads[name].astype(p.data.dtype, copy=False)
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p.data = p.data - lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        p.data = p.data - lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 def _dtype_code(dtype: np.dtype) -> str:
@@ -182,9 +184,9 @@ def save_checkpoint(
         adam = {
             "t": state.t,
             "lr": state.lr,
-            "beta1": state.beta1,
-            "beta2": state.beta2,
-            "eps": state.eps,
+            "beta1": ADAM_BETA1,
+            "beta2": ADAM_BETA2,
+            "eps": ADAM_EPS,
             "moments": moment_entries,
         }
     buffer = b"".join(chunks)
@@ -281,10 +283,12 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
 
     Verifies the magic, format version, the manifest's structure, its
     buffer offsets and shapes, the buffer hash, that every parameter and
-    Adam moment is finite, the Adam step counter and hyperparameters, the
-    embedded profiles, and that each embedded vocabulary is valid and
-    matches the model's vocabulary size, so any truncation, corruption or
-    mismatch is an explicit error."""
+    Adam moment is finite, the Adam step counter, a finite nonnegative
+    learning rate, Adam's beta1/beta2/eps equal to the ``ADAM_*`` constants
+    (the only values ``save_checkpoint`` writes), the embedded profiles,
+    and that each embedded vocabulary is valid and matches the model's
+    vocabulary size, so any truncation, corruption or mismatch is an
+    explicit error."""
     try:
         data = Path(path).read_bytes()
     except OSError as e:
@@ -334,8 +338,11 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
         well_formed = isinstance(t, int) and not isinstance(t, bool) and t >= 0
         if not (well_formed and all(isinstance(adam.get(k), (int, float)) for k in hyper)):
             raise CheckpointError("malformed optimizer state in checkpoint manifest")
+        for k, want in (("beta1", ADAM_BETA1), ("beta2", ADAM_BETA2), ("eps", ADAM_EPS)):
+            if adam[k] != want:
+                raise CheckpointError(f"invalid optimizer state in checkpoint: {k} is {adam[k]!r}, expected {want!r}")
         try:
-            state = AdamState(params, **{k: adam[k] for k in hyper})
+            state = AdamState(params, lr=adam["lr"])
         except ValueError as e:
             raise CheckpointError(f"invalid optimizer state in checkpoint: {e}") from e
         state.t = adam["t"]
@@ -361,25 +368,20 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
 
 
 def corpus_greedy_bleu(
-    model: KTransformer,
-    corpus: ParallelCorpus,
-    vocab_src: Vocabulary,
-    vocab_tgt: Vocabulary,
-    smooth: bool = True,
-    max_out_len: int | None = None,
+    model: KTransformer, corpus: ParallelCorpus, vocab_src: Vocabulary, vocab_tgt: Vocabulary
 ) -> float | None:
-    """Greedy-decode every usable pair and score corpus BLEU against the raw
-    reference tokens; None when no pair is usable. Smoothing defaults on so
-    early-training curves are not pinned at zero by missing 4-grams."""
+    """Greedy-decode every usable pair (output capped at the model's
+    max_len) and score smoothed corpus BLEU against the raw reference
+    tokens, so early-training curves are not pinned at zero by missing
+    4-grams; None when no pair is usable."""
     usable = [
         (src, ref) for src, ref in corpus.pairs() if 1 <= len(src) <= model.config.max_len and len(ref) > 0
     ]
     if not usable:
         return None
-    sources = [[vocab_src.id_of(t) for t in src] for src, _ in usable]
-    hyps = model.greedy_translate_batch(sources, max_out_len=max_out_len)
+    hyps = model.greedy_translate_batch([encode(src, vocab_src) for src, _ in usable])
     pairs = [(decode(hyp, vocab_tgt), list(ref)) for hyp, (_, ref) in zip(hyps, usable)]
-    return corpus_bleu(pairs, smooth=smooth).score
+    return corpus_bleu(pairs, smooth=True).score
 
 
 @dataclass
@@ -444,12 +446,7 @@ def train(
                 rng = np.random.default_rng([config.seed, step])
                 with GradientTape() as tape:
                     losses = model.sequence_loss(
-                        batch.src_ids,
-                        batch.tgt_ids,
-                        src_mask=batch.src_mask,
-                        tgt_mask=batch.tgt_mask,
-                        training=True,
-                        rng=rng,
+                        batch.src_ids, batch.tgt_ids, src_mask=batch.src_mask, tgt_mask=batch.tgt_mask, rng=rng
                     )
                     mean_loss = scale(sum_all(losses), 1.0 / len(batch))
                 loss_val = float(mean_loss.data)
@@ -474,7 +471,7 @@ def train(
 
                 val = None
                 if config.val_interval > 0 and step % config.val_interval == 0 and val_corpus is not None and len(val_corpus) > 0:
-                    val = corpus_greedy_bleu(model, val_corpus, vocab_src, vocab_tgt, smooth=True)
+                    val = corpus_greedy_bleu(model, val_corpus, vocab_src, vocab_tgt)
                     if val is not None and val >= best:
                         best = val
                         save_checkpoint(model, best_path, state=state, **meta)

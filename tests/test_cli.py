@@ -194,6 +194,18 @@ def test_train_val_fraction_out_of_range_is_usage_error(workdir, capsys, fractio
     assert not (workdir / "r").exists()
 
 
+@pytest.mark.parametrize("setting", ["lr=nan", "lr=inf", "grad_clip=nan"])
+def test_train_non_finite_lr_or_clip_is_usage_error(workdir, capsys, setting):
+    prep = run_preprocess(workdir)
+    cfg = workdir / "run.cfg"
+    cfg.write_text(train_cfg_lines(prep, workdir / "r"), encoding="utf-8")
+    rc = main(["train", "--config", str(cfg), "--set", setting])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "finite" in err
+    assert not (workdir / "r" / "final.ckpt").exists()
+
+
 def test_train_divergence_exit_code(workdir):
     prep = run_preprocess(workdir)
     cfg = workdir / "div.cfg"
@@ -539,6 +551,28 @@ def test_report_source_lengths_change_bucketing(workdir):
     rows = list(csv.DictReader((out / "report.csv").read_text().splitlines()))
     assert int(rows[0]["pair_count"]) == len(refs)
     assert all(int(r["pair_count"]) == 0 for r in rows[1:])
+
+
+@pytest.mark.parametrize("damage", ["hyp-short", "src-short", "ref-empty-line"])
+def test_report_misaligned_or_empty_reference_is_data_error(workdir, capsys, damage):
+    ref_f, a_f, b_f, refs, *_ = _report_inputs(workdir)
+    src_f = workdir / "s.txt"
+    src_f.write_text("\n".join("z" for _ in refs) + "\n", encoding="utf-8")
+    path = {"hyp-short": b_f, "src-short": src_f, "ref-empty-line": ref_f}[damage]
+    lines = path.read_text(encoding="utf-8").splitlines()
+    if damage == "ref-empty-line":
+        lines[3] = ""
+    else:
+        lines.pop()
+    path.write_text("".join(l + "\n" for l in lines), encoding="utf-8")
+    out = workdir / "rep"
+    rc = main([
+        "report", "--system", f"near={a_f}", "--system", f"rev={b_f}", "--ref", str(ref_f),
+        "--src", str(src_f), "--out-dir", str(out),
+    ])
+    assert rc == EXIT_DATA
+    assert "data error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ------------------------------------------------------------ parser

@@ -198,14 +198,12 @@ def test_vocab_load_rejects_blank_line(tmp_path):
 
 def test_encode_known_tokens():
     v = build_vocab([["a", "b"]], max_size=8)
-    seq = encode(["b", "a", "b"], v)
-    assert list(seq.ids) == [v.id_of("b"), v.id_of("a"), v.id_of("b")]
-    assert seq.raw == ["b", "a", "b"]
+    assert encode(["b", "a", "b"], v) == [v.id_of("b"), v.id_of("a"), v.id_of("b")]
 
 
 def test_encode_oov_maps_to_unk():
     v = build_vocab([["a"]], max_size=8)
-    assert list(encode(["zzz"], v).ids) == [UNK_ID]
+    assert encode(["zzz"], v) == [UNK_ID]
 
 
 def test_round_trip_replaces_exactly_oov_positions():
@@ -214,7 +212,7 @@ def test_round_trip_replaces_exactly_oov_positions():
     pool = ["a", "b", "c", "oov1", "oov2"]
     for _ in range(20):
         toks = [pool[int(rng.integers(0, 5))] for _ in range(int(rng.integers(1, 10)))]
-        back = decode(encode(toks, v).ids, v)
+        back = decode(encode(toks, v), v)
         expect = [t if t in v else UNK_TOKEN for t in toks]
         assert back == expect
 
@@ -301,7 +299,7 @@ def test_batches_cover_each_retained_pair_once():
         for i in range(len(b)):
             ids = b.src_ids[i][b.src_mask[i]]
             seen.append(tuple(ids.tolist()))
-    expect = [tuple(encode(corpus.src[i], v).ids) for i in kept]
+    expect = [tuple(encode(corpus.src[i], v)) for i in kept]
     assert sorted(seen) == sorted(expect)
 
 

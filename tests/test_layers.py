@@ -182,7 +182,7 @@ def test_multi_head_output_shape_and_grads():
     mha = MultiHeadAttention(rng, d_model=8, n_heads=2, dtype=np.float64)
     x = t64(rng.normal(size=(5, 8)))
     with GradientTape() as tape:
-        out = multi_head_attention(x, x, x, mha)
+        out = multi_head_attention(x, x, mha)
         loss = T.sum_all(T.mul(out, out))
     backward(loss, tape)
     assert out.data.shape == (5, 8)
@@ -200,16 +200,16 @@ def test_multi_head_bias_count_checked():
     mha = MultiHeadAttention(rng, d_model=8, n_heads=2, dtype=np.float64)
     x = t64(rng.normal(size=(3, 8)))
     with pytest.raises(ValueError):
-        multi_head_attention(x, x, x, mha, bias=T.stack([t64(np.zeros((3, 3)))]))
+        multi_head_attention(x, x, mha, bias=T.stack([t64(np.zeros((3, 3)))]))
 
 
 def test_multi_head_zero_biases_match_absent():
     rng = np.random.default_rng(12)
     mha = MultiHeadAttention(rng, d_model=8, n_heads=2, dtype=np.float64)
     x = t64(rng.normal(size=(4, 8)))
-    plain = multi_head_attention(x, x, x, mha)
+    plain = multi_head_attention(x, x, mha)
     zeros = t64(np.zeros((2, 4, 4)))
-    biased = multi_head_attention(x, x, x, mha, bias=zeros)
+    biased = multi_head_attention(x, x, mha, bias=zeros)
     assert plain.data.tobytes() == biased.data.tobytes()
 
 
@@ -229,7 +229,7 @@ def test_single_head_with_identity_weights_reduces_to_plain_attention():
         w.data = eye.copy()
     rng = np.random.default_rng(2)
     x = t64(rng.normal(size=(3, 4)))
-    out = multi_head_attention(x, x, x, mha)
+    out = multi_head_attention(x, x, mha)
     ref, _ = scaled_dot_attention(x, x, x)
     assert np.allclose(out.data, ref.data, atol=1e-12)
 
@@ -244,11 +244,11 @@ def _concat_cols_reference(parts):
     return T._emit(tuple(parts), np.concatenate([p.data for p in parts], axis=1), rule)
 
 
-def _per_head_reference(q_in, k_in, v_in, mha, per_head_bias, keep):
+def _per_head_reference(q_in, kv_in, mha, per_head_bias, keep):
     """One 2-D attention chain per head, then concatenation and W^O."""
     outs = []
     for i in range(mha.n_heads):
-        q, k, v = T.matmul(q_in, mha.wq[i]), T.matmul(k_in, mha.wk[i]), T.matmul(v_in, mha.wv[i])
+        q, k, v = T.matmul(q_in, mha.wq[i]), T.matmul(kv_in, mha.wk[i]), T.matmul(kv_in, mha.wv[i])
         scores = T.scale(T.matmul(q, T.transpose(k)), 1.0 / np.sqrt(mha.d_k))
         if per_head_bias is not None:
             scores = T.add(scores, per_head_bias[i])
@@ -287,14 +287,14 @@ def test_multi_head_matches_per_head_reference_bytewise(n_heads, n_q, n_k, cross
             # non-leaf inputs, so fan-in sums happen on the tape, in tape order
             x = T.scale(x_leaf, 1.0)
             mem = T.scale(mem_leaf, 1.0) if cross else x
-            out = attend(x, mem, mem, mha, biases, keep)
+            out = attend(x, mem, mha, biases, keep)
             # the residual also reads x, as in the encoder and decoder layers
             loss = T.sum_all(T.mul(T.add(x, out), c))
         backward(loss, tape)
         return out.data.tobytes(), [t.grad.tobytes() if t.grad is not None else None for t in leaves]
 
-    def stacked(q_in, k_in, v_in, mha, biases, keep):
-        return multi_head_attention(q_in, k_in, v_in, mha, bias=T.stack(biases) if biases else None, keep=keep)
+    def stacked(q_in, kv_in, mha, biases, keep):
+        return multi_head_attention(q_in, kv_in, mha, bias=T.stack(biases) if biases else None, keep=keep)
 
     want_out, want_grads = run(_per_head_reference)
     got_out, got_grads = run(stacked)

@@ -382,15 +382,14 @@ def test_sequence_loss_matches_manual_teacher_forcing(monkeypatch):
 # ------------------------------------------------------------ greedy
 
 
-def reference_greedy(m, src_ids, src_mask=None, max_out_len=None):
+def reference_greedy(m, src_ids, max_out_len=None):
     """Full-prefix greedy loop: one teacher-forced decoder pass over the
     whole prefix per emitted token. The oracle for the cached decoder."""
     cap = m.config.max_len if max_out_len is None else max_out_len
-    memory, _ = m.encode(src_ids, src_mask)
-    smask = None if src_mask is None else np.asarray(src_mask, dtype=bool)
+    memory, _ = m.encode(src_ids)
     out = []
     for _ in range(cap):
-        logits = m.decode_forward(np.array([BOS_ID] + out, dtype=np.int64), memory, src_mask=smask)
+        logits = m.decode_forward(np.array([BOS_ID] + out, dtype=np.int64), memory)
         next_id = int(np.argmax(logits.data[-1]))
         if next_id == EOS_ID:
             break
@@ -445,22 +444,6 @@ def test_cached_greedy_matches_full_prefix_loop(cluster_mode, precision):
         assert m.greedy_translate_batch(srcs, max_out_len=cap) == want
     lengths = {len(o) for o in want}
     assert len(lengths) > 1 and max(lengths) == max_len  # some stop early, some hit the cap
-
-
-@pytest.mark.parametrize("cluster_mode", ["off", "both"])
-def test_cached_greedy_with_padded_sources(cluster_mode):
-    m = decoding_model(cluster_mode)
-    max_len = m.config.max_len
-    rng = np.random.default_rng(6)
-    srcs, masks = [], []
-    for n_real in (1, 3, 6, max_len):
-        ids = np.full(max_len, PAD_ID, dtype=np.int64)
-        ids[:n_real] = rng.integers(4, 12, size=n_real)
-        srcs.append(ids)
-        masks.append(np.arange(max_len) < n_real)
-    want = [reference_greedy(m, s, k) for s, k in zip(srcs, masks)]
-    assert m.greedy_translate_batch(srcs, masks) == want
-    assert [m.greedy_translate(s, k) for s, k in zip(srcs, masks)] == want
 
 
 def test_sentence_alone_equals_sentence_in_batch(monkeypatch):

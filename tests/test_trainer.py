@@ -268,10 +268,14 @@ def _edit_adam(m, **changes):
         pytest.param(lambda m: {**m, "adam": {}}, "malformed optimizer state", id="adam-empty"),
         pytest.param(lambda m: _edit_adam(m, lr="fast"), "malformed optimizer state", id="adam-lr-str"),
         pytest.param(lambda m: _edit_adam(m, lr=-1.0), "invalid optimizer state", id="adam-lr-neg"),
+        # json writes a NaN float as the literal NaN, which json.loads reads back
+        pytest.param(lambda m: _edit_adam(m, lr=float("nan")), "invalid optimizer state", id="adam-lr-nan"),
         # a step counter of -1 makes the next bias correction divide by zero
         pytest.param(lambda m: _edit_adam(m, t=-1), "malformed optimizer state", id="adam-t-negative"),
         pytest.param(lambda m: _edit_adam(m, t=True), "malformed optimizer state", id="adam-t-bool"),
         pytest.param(lambda m: _edit_adam(m, beta1=1.0), "invalid optimizer state", id="adam-beta1-one"),
+        # in range, but not the constant that every checkpoint is written with
+        pytest.param(lambda m: _edit_adam(m, eps=1e-7), "invalid optimizer state", id="adam-eps-other"),
         pytest.param(lambda m: _edit_adam(m, moments=5), "malformed optimizer entries", id="moments-int"),
         pytest.param(
             # every v buffer relabelled as an m buffer: the v moments would load as zeros
@@ -628,7 +632,7 @@ def _step_loss(model, src, tgt, smask, tmask, rng, batch_size):
     loss, as ``train`` forms it from all of a batch's rows."""
     from ktransformer.tensor import scale, sum_all
 
-    losses = model.sequence_loss(src, tgt, src_mask=smask, tgt_mask=tmask, training=True, rng=rng)
+    losses = model.sequence_loss(src, tgt, src_mask=smask, tgt_mask=tmask, rng=rng)
     return losses, scale(sum_all(losses), 1.0 / batch_size)
 
 
