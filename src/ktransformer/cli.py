@@ -124,6 +124,7 @@ def cmd_train(args) -> int:
             raise ConfigError(f"configuration key {key!r} must point at a preprocessed corpus file")
     if not 0.0 <= cfg.val_fraction < 1.0:
         raise ConfigError(f"val_fraction must be in [0, 1), got {cfg.val_fraction}")
+    train_config = cfg.to_train_config(out_dir)  # validated before anything is written
 
     corpus = ParallelCorpus.from_token_files(
         cfg.train_src, cfg.train_tgt, profile_src=cfg.profile_src, profile_tgt=cfg.profile_tgt
@@ -135,7 +136,7 @@ def cmd_train(args) -> int:
     model = KTransformer(cfg.to_model_config(len(vocab_src), len(vocab_tgt)))
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config_resolved.cfg").write_text(cfg.serialize(), encoding="utf-8")
-    log = train(model, train_corpus, vocab_src, vocab_tgt, cfg.to_train_config(out_dir), val_corpus)
+    log = train(model, train_corpus, vocab_src, vocab_tgt, train_config, val_corpus)
     last = log[-1].loss if log else float("nan")
     print(f"trained {len(log)} steps; final loss {last:.6f}" if log else "trained 0 steps")
     print(f"checkpoints and train_log.csv in {out_dir}")

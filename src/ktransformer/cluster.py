@@ -108,7 +108,8 @@ def kmeans_fit(points, k: int, seed: int = 0, tol: float = 1e-6, max_iter: int =
         a = _repair_empty(pts, centroids, a)
         moved = 0.0
         for j in range(k):
-            mean_j = pts[a == j].mean(axis=0)
+            members = pts[a == j]
+            mean_j = members.sum(axis=0) / members.shape[0]  # ndarray.mean's sum and division, minus its Python wrapper
             moved = max(moved, float(np.sqrt(((mean_j - centroids[j]) ** 2).sum())))
             centroids[j] = mean_j
         history.append(mse(pts, centroids, a))

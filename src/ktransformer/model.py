@@ -113,8 +113,9 @@ class ModelConfig:
         cfg = cls(**d)
         kinds = {"int": int, "float": (int, float), "str": str}
         for f in fields(cls):
-            if not isinstance(getattr(cfg, f.name), kinds[f.type]):
-                raise ValueError(f"{f.name} must be {f.type}, got {getattr(cfg, f.name)!r}")
+            value = getattr(cfg, f.name)
+            if isinstance(value, bool) or not isinstance(value, kinds[f.type]):  # JSON true is a Python int
+                raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
         cfg.validate()
         return cfg
 

@@ -2,12 +2,12 @@
 clipping, the teacher-forced loop with periodic greedy-decoding validation,
 and a self-contained binary checkpoint format.
 
-Checkpoint layout: an 8-byte magic, a little-endian u64 manifest length, a
-JSON manifest (format version, model configuration, per-buffer name, shape,
-element type, and byte offset, optimizer state header, optional embedded
-vocabularies and profiles, and the sha256 of the data buffer), then the
-concatenated row-major little-endian parameter data. Round trips are
-bit-exact and host-endianness independent.
+Checkpoint layout: an 8-byte magic, a little-endian u64 manifest length, the
+JSON manifest that ``_manifest`` describes, then the row-major little-endian
+buffers in ``_layout`` order. A manifest loads only if it equals what
+``save_checkpoint`` would write for what was loaded, so round trips are
+bit-exact (``save(load(f)) == f`` for a file it wrote) and independent of
+host endianness.
 """
 
 from __future__ import annotations
@@ -138,19 +138,54 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: Ad
 
 def _dtype_code(dtype: np.dtype) -> str:
     # classify by kind and width so a non-native byte order still serializes
-    dtype = np.dtype(dtype)
-    if dtype.kind == "f" and dtype.itemsize == 4:
-        return "<f4"
-    if dtype.kind == "f" and dtype.itemsize == 8:
-        return "<f8"
-    raise CheckpointError(f"unsupported dtype {dtype}")
+    if dtype.kind != "f" or dtype.itemsize not in (4, 8):
+        raise CheckpointError(f"unsupported dtype {dtype}")
+    return f"<f{dtype.itemsize}"
 
 
-def _buffer_entry(name: str, arr: np.ndarray, offset: int) -> tuple[dict, bytes]:
-    code = _dtype_code(arr.dtype)
-    raw = np.ascontiguousarray(arr).astype(code, copy=False).tobytes()
-    entry = {"name": name, "shape": list(arr.shape), "dtype": code, "offset": offset, "nbytes": len(raw)}
-    return entry, raw
+def _layout(params: dict[str, Tensor], state: AdamState | None) -> list[tuple[str, np.ndarray]]:
+    """The (buffer name, array) pairs in file order: the parameters, then
+    Adam's ``m.*`` and ``v.*`` moments when there is optimizer state."""
+    layout = [(name, p.data) for name, p in params.items()]
+    if state is not None:
+        layout += [(f"{kind}.{name}", bank[name]) for kind, bank in (("m", state.m), ("v", state.v)) for name in params]
+    return layout
+
+
+@dataclass
+class LoadedCheckpoint:
+    """What a checkpoint holds: ``save_checkpoint``'s input, ``load_checkpoint``'s result."""
+
+    model: KTransformer
+    state: AdamState | None
+    vocab_src: Vocabulary | None
+    vocab_tgt: Vocabulary | None
+    profile_src: str | None
+    profile_tgt: str | None
+
+
+def _manifest(c: LoadedCheckpoint, params: dict[str, Tensor], buffer_sha256: str) -> dict:
+    """The one description of the format: the manifest that ``save_checkpoint``
+    writes for ``c``, whose model has ``params``, and the only one that
+    ``load_checkpoint`` accepts for what it loaded."""
+    entries, offset = [], 0
+    for name, arr in _layout(params, c.state):
+        code = _dtype_code(arr.dtype)
+        entries.append({"name": name, "shape": list(arr.shape), "dtype": code, "offset": offset, "nbytes": arr.nbytes})
+        offset += arr.nbytes
+    hyper = {"beta1": ADAM_BETA1, "beta2": ADAM_BETA2, "eps": ADAM_EPS}
+    adam = None if c.state is None else {"t": c.state.t, "lr": c.state.lr, **hyper, "moments": entries[len(params) :]}
+    return {
+        "format_version": FORMAT_VERSION,
+        "model_config": c.model.config.to_dict(),
+        "params": entries[: len(params)],
+        "adam": adam,
+        "vocab_src": c.vocab_src.regular_tokens() if c.vocab_src is not None else None,
+        "vocab_tgt": c.vocab_tgt.regular_tokens() if c.vocab_tgt is not None else None,
+        "profile_src": c.profile_src,
+        "profile_tgt": c.profile_tgt,
+        "buffer_sha256": buffer_sha256,
+    }
 
 
 def save_checkpoint(
@@ -164,43 +199,9 @@ def save_checkpoint(
 ) -> None:
     """Serialize model (and optionally optimizer state and vocabularies)."""
     params = model.parameters()
-    chunks: list[bytes] = []
-    offset = 0
-    param_entries = []
-    for name, p in params.items():
-        entry, raw = _buffer_entry(name, p.data, offset)
-        param_entries.append(entry)
-        chunks.append(raw)
-        offset += len(raw)
-    adam = None
-    if state is not None:
-        moment_entries = []
-        for kind, bank in (("m", state.m), ("v", state.v)):
-            for name in params:
-                entry, raw = _buffer_entry(f"{kind}.{name}", bank[name], offset)
-                moment_entries.append(entry)
-                chunks.append(raw)
-                offset += len(raw)
-        adam = {
-            "t": state.t,
-            "lr": state.lr,
-            "beta1": ADAM_BETA1,
-            "beta2": ADAM_BETA2,
-            "eps": ADAM_EPS,
-            "moments": moment_entries,
-        }
-    buffer = b"".join(chunks)
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "model_config": model.config.to_dict(),
-        "params": param_entries,
-        "adam": adam,
-        "vocab_src": vocab_src.regular_tokens() if vocab_src is not None else None,
-        "vocab_tgt": vocab_tgt.regular_tokens() if vocab_tgt is not None else None,
-        "profile_src": profile_src,
-        "profile_tgt": profile_tgt,
-        "buffer_sha256": hashlib.sha256(buffer).hexdigest(),
-    }
+    contents = LoadedCheckpoint(model, state, vocab_src, vocab_tgt, profile_src, profile_tgt)
+    buffer = b"".join(arr.astype(_dtype_code(arr.dtype), copy=False).tobytes() for _, arr in _layout(params, state))
+    manifest = _manifest(contents, params, hashlib.sha256(buffer).hexdigest())
     blob = json.dumps(manifest, ensure_ascii=False, sort_keys=True).encode("utf-8")
     tmp = Path(path).with_name(Path(path).name + ".tmp")
     with open(tmp, "wb") as f:
@@ -211,45 +212,20 @@ def save_checkpoint(
     os.replace(tmp, path)
 
 
-def _entries(value, what: str) -> list[dict]:
-    """A manifest list of buffer entries: objects with every key that
-    ``_read_entry`` reads and a string name."""
-    keys = {"name", "shape", "dtype", "offset", "nbytes"}
-    if not isinstance(value, list) or not all(
-        isinstance(e, dict) and keys <= e.keys() and isinstance(e["name"], str) for e in value
-    ):
-        raise CheckpointError(f"malformed {what} entries in checkpoint manifest")
-    return value
-
-
-def _read_entry(buffer: bytes, entry: dict, offset: int, like: np.ndarray) -> np.ndarray:
-    """The array that ``entry`` describes, which must start at ``offset``,
-    have the shape and element type of ``like`` and hold only finite
-    values."""
-    name, code = entry["name"], _dtype_code(like.dtype)
-    if entry["offset"] != offset:
-        raise CheckpointError(f"manifest/buffer offset inconsistency at {name!r}")
-    if entry["dtype"] != code:
-        raise CheckpointError(f"{name!r} stored as {entry['dtype']}, model expects {code}")
-    if entry["shape"] != list(like.shape) or entry["nbytes"] != like.nbytes:
-        stored = f"{entry['shape']!r} ({entry['nbytes']!r} bytes)"
-        raise CheckpointError(f"shape mismatch for {name!r}: {stored} vs {like.shape}")
-    if offset + like.nbytes > len(buffer):
-        raise CheckpointError(f"checkpoint truncated inside {name!r}")
-    arr = np.frombuffer(buffer, dtype=code, count=like.size, offset=offset).reshape(like.shape).astype(like.dtype)
-    if not np.isfinite(arr).all():
-        raise CheckpointError(f"non-finite values in {name!r}")
-    return arr
-
-
-@dataclass
-class LoadedCheckpoint:
-    model: KTransformer
-    state: AdamState | None
-    vocab_src: Vocabulary | None
-    vocab_tgt: Vocabulary | None
-    profile_src: str | None
-    profile_tgt: str | None
+def _first_difference(stored, expected, path: str) -> str | None:
+    """The path of the first value in which ``stored`` differs from
+    ``expected``, such as ``manifest.adam.moments[3] ('m.tgt_embed').shape``;
+    None if there is none."""
+    if isinstance(stored, dict) and isinstance(expected, dict):
+        if stored.keys() != expected.keys():
+            return f"{path}.{min(stored.keys() ^ expected.keys())}"
+        parts = [(f"{path}.{k}", stored[k], expected[k]) for k in sorted(expected)]
+    elif isinstance(stored, list) and isinstance(expected, list) and len(stored) == len(expected):
+        names = [f" ({e['name']!r})" if isinstance(e, dict) else "" for e in expected]
+        parts = [(f"{path}[{i}]{names[i]}", s, e) for i, (s, e) in enumerate(zip(stored, expected))]
+    else:
+        return None if stored == expected else path
+    return next((d for p, s, e in parts if (d := _first_difference(s, e, p)) is not None), None)
 
 
 def _embedded_vocab(manifest: dict, key: str, size: int) -> Vocabulary | None:
@@ -281,14 +257,12 @@ def _embedded_profile(manifest: dict, key: str) -> str | None:
 def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
     """Rebuild model, optimizer state, and vocabularies from a checkpoint.
 
-    Verifies the magic, format version, the manifest's structure, its
-    buffer offsets and shapes, the buffer hash, that every parameter and
-    Adam moment is finite, the Adam step counter, a finite nonnegative
-    learning rate, Adam's beta1/beta2/eps equal to the ``ADAM_*`` constants
-    (the only values ``save_checkpoint`` writes), the embedded profiles,
-    and that each embedded vocabulary is valid and matches the model's
-    vocabulary size, so any truncation, corruption or mismatch is an
-    explicit error."""
+    Checks what it has to interpret (the magic, format version, buffer hash,
+    model configuration, Adam step counter and learning rate, embedded
+    vocabularies and profiles), then loads the file only if its manifest
+    equals the one ``save_checkpoint`` would write for what was loaded, and
+    only if every parameter and Adam moment is finite; any truncation,
+    corruption or mismatch is a ``CheckpointError``."""
     try:
         data = Path(path).read_bytes()
     except OSError as e:
@@ -312,7 +286,8 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
             f"unsupported checkpoint format version {manifest.get('format_version')!r}, expected {FORMAT_VERSION}"
         )
     buffer = data[header + mlen :]
-    if hashlib.sha256(buffer).hexdigest() != manifest.get("buffer_sha256"):
+    buffer_sha256 = hashlib.sha256(buffer).hexdigest()
+    if buffer_sha256 != manifest.get("buffer_sha256"):
         raise CheckpointError("checkpoint buffer integrity check failed")
 
     try:
@@ -321,50 +296,36 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
         raise CheckpointError(f"invalid model configuration in checkpoint: {e}") from e
     model = KTransformer(config, draw_weights=False)
     params = model.parameters()
-    entries = _entries(manifest.get("params", []), "parameter")
-    if [e["name"] for e in entries] != list(params):
-        raise CheckpointError("checkpoint parameter names do not match the model")
-    offset = 0
-    for entry in entries:
-        p = params[entry["name"]]
-        p.data = _read_entry(buffer, entry, offset, p.data)
-        offset += p.data.nbytes
-
     state = None
     adam = manifest.get("adam")
     if adam is not None:
-        hyper = ("lr", "beta1", "beta2", "eps")
-        t = adam.get("t") if isinstance(adam, dict) else None
-        well_formed = isinstance(t, int) and not isinstance(t, bool) and t >= 0
-        if not (well_formed and all(isinstance(adam.get(k), (int, float)) for k in hyper)):
+        # exact types, as a bool is neither; a negative step would make a bias correction divide by zero
+        t, lr = (adam.get("t"), adam.get("lr")) if isinstance(adam, dict) else (None, None)
+        if not (type(t) is int and t >= 0 and type(lr) in (int, float)):
             raise CheckpointError("malformed optimizer state in checkpoint manifest")
-        for k, want in (("beta1", ADAM_BETA1), ("beta2", ADAM_BETA2), ("eps", ADAM_EPS)):
-            if adam[k] != want:
-                raise CheckpointError(f"invalid optimizer state in checkpoint: {k} is {adam[k]!r}, expected {want!r}")
         try:
-            state = AdamState(params, lr=adam["lr"])
+            state = AdamState(params, lr=lr)
         except ValueError as e:
             raise CheckpointError(f"invalid optimizer state in checkpoint: {e}") from e
-        state.t = adam["t"]
-        moments = _entries(adam.get("moments"), "optimizer")
-        if [e["name"] for e in moments] != [f"{kind}.{name}" for kind in "mv" for name in params]:
-            raise CheckpointError("checkpoint optimizer buffers do not match the model's parameters")
-        for entry in moments:
-            kind, _, name = entry["name"].partition(".")
-            bank = state.m if kind == "m" else state.v
-            bank[name] = _read_entry(buffer, entry, offset, params[name].data)
-            offset += bank[name].nbytes
-    if offset != len(buffer):
-        raise CheckpointError(f"checkpoint buffer has {len(buffer) - offset} unaccounted bytes")
+        state.t = t
+    vocabs = [_embedded_vocab(manifest, key, getattr(config, key)) for key in ("vocab_src", "vocab_tgt")]
+    profiles = [_embedded_profile(manifest, key) for key in ("profile_src", "profile_tgt")]
+    loaded = LoadedCheckpoint(model, state, *vocabs, *profiles)
+    expected = _manifest(loaded, params, buffer_sha256)
+    if manifest != expected:
+        where = _first_difference(manifest, expected, "manifest")
+        raise CheckpointError(f"checkpoint manifest is not what save_checkpoint writes for its contents: {where} differs")
 
-    return LoadedCheckpoint(
-        model=model,
-        state=state,
-        vocab_src=_embedded_vocab(manifest, "vocab_src", config.vocab_src),
-        vocab_tgt=_embedded_vocab(manifest, "vocab_tgt", config.vocab_tgt),
-        profile_src=_embedded_profile(manifest, "profile_src"),
-        profile_tgt=_embedded_profile(manifest, "profile_tgt"),
-    )
+    layout = _layout(params, state)
+    if sum(arr.nbytes for _, arr in layout) != len(buffer):
+        raise CheckpointError(f"checkpoint buffer length {len(buffer)} does not match its manifest")
+    offset = 0
+    for name, arr in layout:
+        arr[...] = np.frombuffer(buffer, dtype=_dtype_code(arr.dtype), count=arr.size, offset=offset).reshape(arr.shape)
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"non-finite values in {name!r}")
+        offset += arr.nbytes
+    return loaded
 
 
 def corpus_greedy_bleu(

@@ -194,16 +194,24 @@ def test_train_val_fraction_out_of_range_is_usage_error(workdir, capsys, fractio
     assert not (workdir / "r").exists()
 
 
-@pytest.mark.parametrize("setting", ["lr=nan", "lr=inf", "grad_clip=nan"])
-def test_train_non_finite_lr_or_clip_is_usage_error(workdir, capsys, setting):
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        pytest.param("lr=nan", "finite", id="lr=nan"),
+        pytest.param("lr=inf", "finite", id="lr=inf"),
+        pytest.param("grad_clip=nan", "finite", id="grad_clip=nan"),
+        pytest.param("batch_size=0", "batch_size must be at least 1", id="batch_size=0"),
+    ],
+)
+def test_train_non_finite_lr_or_clip_is_usage_error(workdir, capsys, setting, message):
     prep = run_preprocess(workdir)
     cfg = workdir / "run.cfg"
     cfg.write_text(train_cfg_lines(prep, workdir / "r"), encoding="utf-8")
     rc = main(["train", "--config", str(cfg), "--set", setting])
     assert rc == EXIT_USAGE
     err = capsys.readouterr().err
-    assert "configuration error" in err and "finite" in err
-    assert not (workdir / "r" / "final.ckpt").exists()
+    assert "configuration error" in err and message in err
+    assert not (workdir / "r").exists()  # nothing written, not even config_resolved.cfg
 
 
 def test_train_divergence_exit_code(workdir):
@@ -316,6 +324,7 @@ def test_translate_checkpoint_with_bad_vocab_is_data_error(workdir, tokens):
         pytest.param(lambda m: {**m, "params": 5}, id="params-int"),
         pytest.param(lambda m: [m], id="manifest-list"),
         pytest.param(lambda m: {**m, "profile_src": "klingon"}, id="profile-unknown"),
+        pytest.param(lambda m: {**m, "note": "edited"}, id="manifest-extra-key"),
     ],
 )
 def test_translate_malformed_manifest_is_data_error(workdir, capsys, edit):

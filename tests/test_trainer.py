@@ -3,6 +3,7 @@
 import csv
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -273,14 +274,14 @@ def _edit_adam(m, **changes):
         # a step counter of -1 makes the next bias correction divide by zero
         pytest.param(lambda m: _edit_adam(m, t=-1), "malformed optimizer state", id="adam-t-negative"),
         pytest.param(lambda m: _edit_adam(m, t=True), "malformed optimizer state", id="adam-t-bool"),
-        pytest.param(lambda m: _edit_adam(m, beta1=1.0), "invalid optimizer state", id="adam-beta1-one"),
+        pytest.param(lambda m: _edit_adam(m, beta1=1.0), r"manifest\.adam\.beta1 differs", id="adam-beta1-one"),
         # in range, but not the constant that every checkpoint is written with
-        pytest.param(lambda m: _edit_adam(m, eps=1e-7), "invalid optimizer state", id="adam-eps-other"),
-        pytest.param(lambda m: _edit_adam(m, moments=5), "malformed optimizer entries", id="moments-int"),
+        pytest.param(lambda m: _edit_adam(m, eps=1e-7), r"manifest\.adam\.eps differs", id="adam-eps-other"),
+        pytest.param(lambda m: _edit_adam(m, moments=5), r"manifest\.adam\.moments differs", id="moments-int"),
         pytest.param(
             # every v buffer relabelled as an m buffer: the v moments would load as zeros
             lambda m: _edit_adam(m, moments=[{**e, "name": "m" + e["name"][1:]} for e in m["adam"]["moments"]]),
-            "optimizer buffers do not match",
+            r"manifest\.adam\.moments\[\d+\] \('v\.src_embed'\)\.name differs",
             id="moments-v-as-m",
         ),
         pytest.param(
@@ -288,17 +289,25 @@ def _edit_adam(m, **changes):
             "d_model must be int",
             id="config-float-width",
         ),
-        pytest.param(lambda m: {**m, "params": [{}] + m["params"][1:]}, "malformed parameter entries", id="param-empty"),
+        pytest.param(
+            lambda m: {**m, "model_config": {**m["model_config"], "heads": True}},
+            "heads must be int",
+            id="config-bool-heads",
+        ),
+        pytest.param(lambda m: {**m, "params": [{}] + m["params"][1:]}, r"params\[0\] \('src_embed'\)", id="param-empty"),
         pytest.param(
             lambda m: {**m, "params": [{k: v for k, v in e.items() if k != "offset"} for e in m["params"]]},
-            "malformed parameter entries",
+            r"manifest\.params\[0\] \('src_embed'\)\.offset differs",
             id="param-no-offset",
         ),
-        pytest.param(lambda m: {**m, "params": 5}, "malformed parameter entries", id="params-int"),
-        pytest.param(lambda m: _edit_param(m, 0, name=7), "malformed parameter entries", id="param-name-int"),
-        pytest.param(lambda m: _edit_param(m, 0, shape="10x8"), "shape mismatch", id="shape-str"),
-        pytest.param(lambda m: _edit_param(m, 0, shape=[8, 10]), "shape mismatch", id="shape-transposed"),
-        pytest.param(lambda m: _edit_param(m, 0, nbytes=8), "shape mismatch", id="nbytes-short"),
+        pytest.param(lambda m: {**m, "params": 5}, r"manifest\.params differs", id="params-int"),
+        pytest.param(lambda m: _edit_param(m, 0, name=7), r"params\[0\] \('src_embed'\)\.name differs", id="param-name-int"),
+        pytest.param(lambda m: _edit_param(m, 0, shape="10x8"), r"\('src_embed'\)\.shape differs", id="shape-str"),
+        pytest.param(lambda m: _edit_param(m, 0, shape=[8, 10]), r"\('src_embed'\)\.shape\[0\] differs", id="shape-transposed"),
+        pytest.param(lambda m: _edit_param(m, 0, nbytes=8), r"\('src_embed'\)\.nbytes differs", id="nbytes-short"),
+        # keys that save_checkpoint never writes, though nothing reads them
+        pytest.param(lambda m: {**m, "note": "edited"}, r"manifest\.note differs", id="manifest-extra-key"),
+        pytest.param(lambda m: _edit_param(m, 0, scale=1), r"\('src_embed'\)\.scale differs", id="param-entry-extra-key"),
         pytest.param(lambda m: [m], "not a JSON object", id="manifest-list"),
         pytest.param(lambda m: {**m, "profile_src": "klingon"}, "unknown profile_src", id="profile-src"),
         pytest.param(lambda m: {**m, "profile_tgt": 3}, "unknown profile_tgt", id="profile-tgt"),
@@ -316,6 +325,29 @@ def test_malformed_manifest_is_checkpoint_error(tmp_path, edit, match):
     _rewrite_manifest(path, edit)
     with pytest.raises(CheckpointError, match=match):
         load_checkpoint(path)
+
+
+def test_saving_a_loaded_checkpoint_rewrites_it_byte_for_byte(tmp_path):
+    # save(load(f)) == f: the loader accepts only the manifest that
+    # save_checkpoint writes for what it loaded, and reads every value exactly
+    from ktransformer.corpus import Vocabulary
+
+    model = tiny_model(vocab_src=6, vocab_tgt=5)
+    params = model.parameters()
+    state = AdamState(params, lr=0.01)
+    rng = np.random.default_rng(2)
+    for _ in range(3):
+        adam_step(params, {n: rng.normal(size=p.data.shape) for n, p in params.items()}, state)
+    own = tmp_path / "f64.ckpt"
+    save_checkpoint(model, own, state=state, vocab_src=Vocabulary(["a", "b"]), vocab_tgt=Vocabulary(["é"]),
+                    profile_src="space_tokenized", profile_tgt="char_tokenized")
+    fixture = Path(__file__).resolve().parents[1] / "bench" / "fixtures" / "copy_d64h4_both.ckpt"
+    for path in (own, fixture):
+        loaded = load_checkpoint(path)
+        again = tmp_path / "again.ckpt"
+        save_checkpoint(loaded.model, again, state=loaded.state, vocab_src=loaded.vocab_src, vocab_tgt=loaded.vocab_tgt,
+                        profile_src=loaded.profile_src, profile_tgt=loaded.profile_tgt)
+        assert again.read_bytes() == path.read_bytes(), path.name
 
 
 @pytest.mark.parametrize("precision", ["f32", "f64"])
