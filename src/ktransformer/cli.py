@@ -1,9 +1,9 @@
 """Command-line surface: preprocess, train, translate, evaluate, report.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 data or checkpoint
-error, 4 numerical divergence during training. Every command is
-deterministic given its inputs, flags, and seeds; the one exception is the
-wall-clock column of the training log.
+error or an output that cannot be written, 4 numerical divergence during
+training. Every command is deterministic given its inputs, flags, and
+seeds; the one exception is the wall-clock column of the training log.
 """
 
 from __future__ import annotations
@@ -369,7 +369,7 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"invalid arguments: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, CheckpointError) as e:
+    except (DataError, CheckpointError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except DivergenceError as e:

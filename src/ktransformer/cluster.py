@@ -11,6 +11,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# kmeans_fit's stopping rule, read at each call
+KMEANS_TOL = 1e-6
+KMEANS_MAX_ITER = 100
+
 
 @dataclass
 class ClusterResult:
@@ -80,14 +84,15 @@ def _repair_empty(pts: np.ndarray, centroids: np.ndarray, a: np.ndarray) -> np.n
     return a
 
 
-def kmeans_fit(points, k: int, seed: int = 0, tol: float = 1e-6, max_iter: int = 100) -> ClusterResult:
+def kmeans_fit(points, k: int, seed: int = 0) -> ClusterResult:
     """Fit k centroids by Lloyd iteration.
 
     Centroids start on k distinct sample points chosen by ``seed``. Each
     round reassigns points to their nearest centroid, repairs empty clusters,
     then moves every centroid to the mean of its members; the loop stops when
-    no centroid moved more than ``tol`` (Euclidean) or after ``max_iter``
-    rounds. The recorded per-round mse values never increase.
+    no centroid moved more than ``KMEANS_TOL`` (Euclidean) or after
+    ``KMEANS_MAX_ITER`` rounds. The recorded per-round mse values never
+    increase.
     """
     pts = _as_points(points)
     n = pts.shape[0]
@@ -95,15 +100,13 @@ def kmeans_fit(points, k: int, seed: int = 0, tol: float = 1e-6, max_iter: int =
         raise ValueError("points contain non-finite values")
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    if tol <= 0 or max_iter < 1:
-        raise ValueError("tol must be positive and max_iter at least 1")
 
     rng = np.random.default_rng(seed)
     centroids = pts[rng.choice(n, size=k, replace=False)].copy()
     history: list[float] = []
     a = np.zeros(n, dtype=np.int64)
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, KMEANS_MAX_ITER + 1):
         a = assign(pts, centroids)
         a = _repair_empty(pts, centroids, a)
         moved = 0.0
@@ -113,6 +116,6 @@ def kmeans_fit(points, k: int, seed: int = 0, tol: float = 1e-6, max_iter: int =
             moved = max(moved, float(np.sqrt(((mean_j - centroids[j]) ** 2).sum())))
             centroids[j] = mean_j
         history.append(mse(pts, centroids, a))
-        if moved < tol:
+        if moved < KMEANS_TOL:
             break
     return ClusterResult(centroids=centroids, assignments=a, mse=history[-1], iterations=it, mse_history=history)

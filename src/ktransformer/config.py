@@ -105,10 +105,10 @@ def _validated(cfg):
     return cfg
 
 
-def parse_text(text: str, base: RunConfig | None = None) -> RunConfig:
-    """Parse ``key = value`` lines onto a copy of ``base`` (or the defaults).
-    Blank lines and ``#`` comments are ignored."""
-    cfg = RunConfig(**{f.name: getattr(base, f.name) for f in fields(RunConfig)}) if base else RunConfig()
+def parse_text(text: str) -> RunConfig:
+    """Parse ``key = value`` lines onto the defaults. Blank lines and ``#``
+    comments are ignored."""
+    cfg = RunConfig()
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -120,9 +120,9 @@ def parse_text(text: str, base: RunConfig | None = None) -> RunConfig:
     return cfg
 
 
-def parse_file(path: str | Path, base: RunConfig | None = None) -> RunConfig:
+def parse_file(path: str | Path) -> RunConfig:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise ConfigError(f"cannot read configuration {path}: {e}") from e
-    return parse_text(text, base=base)
+    return parse_text(text)

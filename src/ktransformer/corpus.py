@@ -230,7 +230,7 @@ class ParallelCorpus:
         Path(tgt_path).write_text("".join(" ".join(t) + "\n" for t in self.tgt), encoding="utf-8")
 
 
-def retained_indices(corpus: ParallelCorpus, max_len: int = 50) -> list[int]:
+def retained_indices(corpus: ParallelCorpus, max_len: int) -> list[int]:
     """Indices of pairs where both sides are non-empty and at most max_len
     tokens; the batcher trains on exactly these."""
     return [
@@ -268,7 +268,7 @@ def make_batches(
     vocab_src: Vocabulary,
     vocab_tgt: Vocabulary,
     batch_size: int,
-    max_len: int = 50,
+    max_len: int,
     seed: int = 0,
 ) -> list[Batch]:
     """Filter, shuffle, encode, and pad the corpus into batches.

@@ -70,26 +70,12 @@ class BleuReport:
     r: int
 
 
-def _default_weights(n_max: int) -> list[float]:
-    return [1.0 / n_max] * n_max
-
-
-def _check_weights(weights: Sequence[float] | None, n_max: int) -> list[float]:
-    if weights is None:
-        return _default_weights(n_max)
-    w = [float(x) for x in weights]
-    if len(w) != n_max:
-        raise ValueError(f"need {n_max} weights, got {len(w)}")
-    if any(x < 0 for x in w) or abs(sum(w) - 1.0) > 1e-9:
-        raise ValueError("weights must be nonnegative and sum to 1")
-    return w
-
-
-def _combine(counts: list[tuple[int, int]], c: int, r: int, base_weights: list[float], smooth: bool) -> BleuReport:
+def _combine(counts: list[tuple[int, int]], c: int, r: int, smooth: bool) -> BleuReport:
     """Fold per-order (matched, total) counts into a BleuReport.
 
-    Add-one smoothing, when enabled, bumps both matched and total by 1 for
-    defined orders above unigram; unigram precision is never smoothed.
+    The defined orders share the weight equally. Add-one smoothing, when
+    enabled, bumps both matched and total by 1 for defined orders above
+    unigram; unigram precision is never smoothed.
     """
     n_max = len(counts)
     precisions: list[Fraction | None] = []
@@ -106,10 +92,9 @@ def _combine(counts: list[tuple[int, int]], c: int, r: int, base_weights: list[f
         return BleuReport(score=0.0, bp=0.0, precisions=precisions, weights=[0.0] * n_max, c=c, r=r)
 
     bp = brevity_penalty(c, r)
-    wsum = sum(base_weights[i] for i in valid)
-    if wsum <= 0:
-        raise ValueError("weights vanish on every defined n-gram order")
-    weights = [base_weights[i] / wsum if i in valid else 0.0 for i in range(n_max)]
+    base = 1.0 / n_max
+    weight = base / sum(base for _ in valid)
+    weights = [weight if i in valid else 0.0 for i in range(n_max)]
     if any(precisions[i] == 0 for i in valid):
         score = 0.0
     else:
@@ -117,49 +102,38 @@ def _combine(counts: list[tuple[int, int]], c: int, r: int, base_weights: list[f
     return BleuReport(score=score, bp=bp, precisions=precisions, weights=weights, c=c, r=r)
 
 
-def bleu(
-    candidate: Sequence[str],
-    reference: Sequence[str],
-    n_max: int = 4,
-    weights: Sequence[float] | None = None,
-    smooth: bool = False,
-) -> BleuReport:
-    """Sentence BLEU: bp times the weighted geometric mean of P_1..P_n_max.
+def bleu(candidate: Sequence[str], reference: Sequence[str], n_max: int = 4, smooth: bool = False) -> BleuReport:
+    """Sentence BLEU: the corpus score of the one pair, so bp times the
+    geometric mean of P_1..P_n_max.
 
     Any defined precision equal to zero makes the score 0 unless smoothing
     is on; orders where the candidate is too short are dropped and the
-    remaining weights renormalized.
+    remaining orders weighed equally.
     """
-    if len(reference) == 0:
-        raise ValueError("empty reference")
-    base = _check_weights(weights, n_max)
-    counts = [clipped_counts(candidate, reference, n) for n in range(1, n_max + 1)]
-    return _combine(counts, len(candidate), len(reference), base, smooth)
+    return corpus_bleu([(candidate, reference)], n_max, smooth)
 
 
 def corpus_bleu(
-    pairs: Sequence[tuple[Sequence[str], Sequence[str]]],
-    n_max: int = 4,
-    weights: Sequence[float] | None = None,
-    smooth: bool = False,
+    pairs: Sequence[tuple[Sequence[str], Sequence[str]]], n_max: int = 4, smooth: bool = False
 ) -> BleuReport:
     """Micro-averaged corpus BLEU: per-order matched/total counts and the
     c/r lengths are summed over all pairs before any division."""
     if len(pairs) == 0:
         raise ValueError("empty corpus")
-    base = _check_weights(weights, n_max)
+    if n_max < 1:
+        raise ValueError(f"n-gram order must be at least 1, got {n_max}")
     totals = [[0, 0] for _ in range(n_max)]
     c = r = 0
     for candidate, reference in pairs:
         if len(reference) == 0:
-            raise ValueError("empty reference in corpus")
+            raise ValueError("empty reference")
         c += len(candidate)
         r += len(reference)
         for n in range(1, n_max + 1):
             matched, total = clipped_counts(candidate, reference, n)
             totals[n - 1][0] += matched
             totals[n - 1][1] += total
-    return _combine([(m, t) for m, t in totals], c, r, base, smooth)
+    return _combine([(m, t) for m, t in totals], c, r, smooth)
 
 
 @dataclass
@@ -174,24 +148,17 @@ class BucketRow:
 
 
 def length_bucket_report(
-    pairs: Sequence[tuple[Sequence[str], Sequence[str]]],
-    bucket_edges: Sequence[int] = (10, 20, 30, 40, 50),
-    lengths: Sequence[int] | None = None,
-    n_max: int = 4,
-    weights: Sequence[float] | None = None,
-    smooth: bool = False,
+    pairs: Sequence[tuple[Sequence[str], Sequence[str]]], bucket_edges: Sequence[int], lengths: Sequence[int]
 ) -> list[BucketRow]:
     """Corpus BLEU per sentence-length bucket.
 
     Buckets partition lengths as (0, e1], (e1, e2], ..., (e_last, inf).
-    ``lengths`` supplies the bucketing key per pair (source lengths when the
-    caller has them); it defaults to the reference length as a stand-in.
+    ``lengths`` holds the bucketing key of each pair, such as its source
+    length.
     """
     edges = [int(e) for e in bucket_edges]
     if not edges or any(e <= 0 for e in edges) or any(b <= a for a, b in zip(edges, edges[1:])):
         raise ValueError(f"bucket edges must be positive and strictly increasing, got {bucket_edges}")
-    if lengths is None:
-        lengths = [len(ref) for _, ref in pairs]
     if len(lengths) != len(pairs):
         raise ValueError(f"{len(lengths)} lengths for {len(pairs)} pairs")
 
@@ -206,6 +173,6 @@ def length_bucket_report(
             raise ValueError(f"sentence length {ln} not in any bucket")
     rows = []
     for (lo, hi), members in zip(bounds, grouped):
-        report = corpus_bleu(members, n_max=n_max, weights=weights, smooth=smooth) if members else None
+        report = corpus_bleu(members) if members else None
         rows.append(BucketRow(low=lo, high=hi, count=len(members), report=report))
     return rows

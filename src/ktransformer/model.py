@@ -99,6 +99,8 @@ class ModelConfig:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.clusters_k < 1:
             raise ValueError(f"clusters_k must be at least 1, got {self.clusters_k}")
+        if self.init_seed < 0 or self.cluster_seed < 0:
+            raise ValueError("init_seed and cluster_seed must be nonnegative")
         if self.cluster_mode not in CLUSTER_MODES:
             raise ValueError(f"cluster_mode must be one of {CLUSTER_MODES}, got {self.cluster_mode!r}")
         dtype_of(self.precision)
@@ -294,12 +296,11 @@ class KTransformer:
         embeds = {"src_embed": self.src_embed, "tgt_embed": self.tgt_embed}
         return embeds | _prefixed(**encoder, **decoder) | {"out_proj": self.out_proj}
 
-    def cluster_source(self, embeddings: Tensor) -> ClusterResult:
-        """Cluster one sentence's raw token embeddings with k clamped to the
-        sentence length; runs outside the gradient tape."""
-        n = embeddings.data.shape[0]
-        k_eff = min(self.config.clusters_k, n)
-        return kmeans_fit(embeddings.data, k_eff, seed=self.config.cluster_seed)
+    def cluster_source(self, embeddings: np.ndarray) -> ClusterResult:
+        """Cluster one sentence's raw token embeddings, an (n, d_model)
+        array, with k clamped to the sentence length n."""
+        k_eff = min(self.config.clusters_k, embeddings.shape[0])
+        return kmeans_fit(embeddings, k_eff, seed=self.config.cluster_seed)
 
     def _dropout_draws(self, rng: np.random.Generator | None, lead: tuple[int, ...], lengths: tuple[int, ...]) -> list:
         """U[0, 1) samples from ``rng`` for input dropout at each site of a
@@ -330,15 +331,14 @@ class KTransformer:
         results = []
         for i in range(b):
             n_real = int(mask[i].sum())
-            real = emb[i, :n_real].copy()
-            result = self.cluster_source(Tensor(real))
+            real = emb[i, :n_real]
+            result = self.cluster_source(real)
             results.append(result)
             if want_same:
                 same[i, 0, :n_real, :n_real] = _same_cluster(result)
             if want_aff:
                 cos = _centroid_cosines(result, real).astype(self.dtype)
-                for h in range(cfg.heads):
-                    aff[i, h, :n_real, :n_real] = cos[h % cos.shape[0]]
+                aff[i, :, :n_real, :n_real] = cos[np.arange(cfg.heads) % cos.shape[0], None, :]
         return results, same, aff
 
     def encode(self, src_ids, src_mask=None, uniform=None):
@@ -579,7 +579,4 @@ def loss(logits: Tensor, target_ids) -> Tensor:
     positions, per sentence for (B, m, vocab) logits; raises on an all-pad
     target."""
     targets = np.asarray(target_ids, dtype=np.int64)
-    active = targets != PAD_ID
-    if not active.any(axis=-1).all():
-        raise ValueError("loss over an all-pad target")
-    return masked_cross_entropy(logits, targets, active)
+    return masked_cross_entropy(logits, targets, targets != PAD_ID)

@@ -410,20 +410,19 @@ def train(
                         batch.src_ids, batch.tgt_ids, src_mask=batch.src_mask, tgt_mask=batch.tgt_mask, rng=rng
                     )
                     mean_loss = scale(sum_all(losses), 1.0 / len(batch))
-                loss_val = float(mean_loss.data)
-                if not math.isfinite(loss_val):
-                    save_checkpoint(model, final_path, state=state, **meta)
-                    raise DivergenceError(
-                        f"non-finite loss at step {step + 1}; last good parameters kept in {final_path}"
-                    )
-                backward(mean_loss, tape)
-                grads: dict[str, np.ndarray] = {}
-                for name, p in params.items():
-                    grads[name] = p.grad if p.grad is not None else np.zeros_like(p.data)
-                    p.grad = None
-                clip_global_norm(grads, config.grad_clip)
-                lr_scale = min(1.0, (step + 1) / config.warmup_steps) if config.warmup_steps > 0 else 1.0
                 try:
+                    loss_val = float(mean_loss.data)
+                    if not math.isfinite(loss_val):
+                        raise DivergenceError(
+                            f"non-finite loss at step {step + 1}; last good parameters kept in {final_path}"
+                        )
+                    backward(mean_loss, tape)
+                    grads: dict[str, np.ndarray] = {}
+                    for name, p in params.items():
+                        grads[name] = p.grad if p.grad is not None else np.zeros_like(p.data)
+                        p.grad = None
+                    clip_global_norm(grads, config.grad_clip)
+                    lr_scale = min(1.0, (step + 1) / config.warmup_steps) if config.warmup_steps > 0 else 1.0
                     adam_step(params, grads, state, lr_scale=lr_scale)
                 except DivergenceError:
                     save_checkpoint(model, final_path, state=state, **meta)

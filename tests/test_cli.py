@@ -201,6 +201,8 @@ def test_train_val_fraction_out_of_range_is_usage_error(workdir, capsys, fractio
         pytest.param("lr=inf", "finite", id="lr=inf"),
         pytest.param("grad_clip=nan", "finite", id="grad_clip=nan"),
         pytest.param("batch_size=0", "batch_size must be at least 1", id="batch_size=0"),
+        pytest.param("init_seed=-1", "nonnegative", id="init_seed=-1"),
+        pytest.param("cluster_seed=-1", "nonnegative", id="cluster_seed=-1"),
     ],
 )
 def test_train_non_finite_lr_or_clip_is_usage_error(workdir, capsys, setting, message):
@@ -468,6 +470,14 @@ def test_evaluate_empty_reference_line_is_data_error(workdir):
     assert main(["evaluate", "--hyp", str(hyp), "--ref", str(ref)]) == EXIT_DATA
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_evaluate_order_below_one_is_usage_error(workdir, capsys, n):
+    ref = workdir / "ref.txt"
+    ref.write_text("a b c\n", encoding="utf-8")
+    assert main(["evaluate", "--hyp", str(ref), "--ref", str(ref), "--n", str(n)]) == EXIT_USAGE
+    assert "invalid arguments" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------ report
 
 
@@ -582,6 +592,33 @@ def test_report_misaligned_or_empty_reference_is_data_error(workdir, capsys, dam
     assert rc == EXIT_DATA
     assert "data error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+# ------------------------------------------------------------ unwritable outputs
+
+
+@pytest.mark.parametrize("command", ["translate-into-missing-dir", "report-out-dir-is-file", "preprocess-out-dir-is-file"])
+def test_unwritable_output_is_data_error(workdir, capsys, command):
+    blocker = workdir / "taken"
+    blocker.write_text("not a directory\n", encoding="utf-8")
+    if command == "translate-into-missing-dir":
+        _, run = _trained_run(workdir)
+        inp = workdir / "in.txt"
+        inp.write_text("w01 w02\n", encoding="utf-8")
+        argv = ["translate", "--checkpoint", str(run / "final.ckpt"), "--input", str(inp),
+                "--output", str(workdir / "nodir" / "out.txt")]
+    elif command == "report-out-dir-is-file":
+        ref_f, a_f, *_ = _report_inputs(workdir)
+        argv = ["report", "--system", f"x={a_f}", "--ref", str(ref_f), "--out-dir", str(blocker)]
+    else:
+        src, tgt = write_parallel(workdir)
+        argv = ["preprocess", "--src", str(src), "--tgt", str(tgt), "--out-dir", str(blocker)]
+    capsys.readouterr()
+    assert main(argv) == EXIT_DATA
+    out, err = capsys.readouterr()
+    assert "data error:" in err and out == ""
+    assert not (workdir / "nodir").exists()
+    assert blocker.read_text(encoding="utf-8") == "not a directory\n"
 
 
 # ------------------------------------------------------------ parser

@@ -6,6 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
+from ktransformer import cluster
 from ktransformer.cluster import assign, kmeans_fit, mse
 
 _label_cache = {}
@@ -170,8 +171,9 @@ def test_parameter_validation():
         kmeans_fit(bad, k=2, seed=0)
 
 
-def test_stops_within_max_iter():
+def test_stops_within_max_iter(monkeypatch):
+    monkeypatch.setattr(cluster, "KMEANS_MAX_ITER", 3)
     rng = np.random.default_rng(8)
     pts = rng.normal(size=(50, 3))
-    res = kmeans_fit(pts, k=5, seed=1, max_iter=3)
+    res = kmeans_fit(pts, k=5, seed=1)
     assert res.iterations <= 3

@@ -97,13 +97,6 @@ def test_serialize_round_trip():
     assert again == cfg
 
 
-def test_parse_on_top_of_base():
-    base = parse_text("d_model = 32\nheads = 2")
-    cfg = parse_text("heads = 4", base=base)
-    assert cfg.d_model == 32 and cfg.heads == 4
-    assert base.heads == 2  # base untouched
-
-
 def test_parse_file(tmp_path):
     p = tmp_path / "run.cfg"
     p.write_text("max_steps = 7\nseed = 3\n", encoding="utf-8")

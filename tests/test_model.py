@@ -165,7 +165,7 @@ def test_one_bias_op_equals_single_head_cluster_bias(mode, precision):
     assert bias.shape == (3, 4, 6, 6)
     for b, n_real in enumerate(mask.sum(axis=1)):
         real = Tensor(emb[b, :n_real].copy())
-        assert np.array_equal(results[b].assignments, m.cluster_source(real).assignments)
+        assert np.array_equal(results[b].assignments, m.cluster_source(real.data).assignments)
         for h in range(4):
             want = cluster_bias(results[b], real, h, layer.bias, mode, total_len=6).data
             assert bias[b, h].tobytes() == want.tobytes()
@@ -301,7 +301,7 @@ def test_same_cluster_attention_weight_exceeds_cross_cluster():
         wq.data = np.zeros_like(wq.data)
     ids = np.array([4, 5, 6, 7])
     emb_t = T.pick_rows(m.src_embed, ids)
-    res = m.cluster_source(emb_t)
+    res = m.cluster_source(emb_t.data)
     bias = cluster_bias(res, emb_t, 0, layer.bias, "same_cluster")
     from ktransformer.layers import scaled_dot_attention
 

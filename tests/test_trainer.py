@@ -294,6 +294,11 @@ def _edit_adam(m, **changes):
             "heads must be int",
             id="config-bool-heads",
         ),
+        pytest.param(
+            lambda m: {**m, "model_config": {**m["model_config"], "cluster_seed": -1}},
+            "init_seed and cluster_seed must be nonnegative",
+            id="config-negative-cluster-seed",
+        ),
         pytest.param(lambda m: {**m, "params": [{}] + m["params"][1:]}, r"params\[0\] \('src_embed'\)", id="param-empty"),
         pytest.param(
             lambda m: {**m, "params": [{k: v for k, v in e.items() if k != "offset"} for e in m["params"]]},
@@ -555,6 +560,33 @@ def test_train_divergence_aborts_with_last_good_state(tmp_path):
     assert loaded.state.t >= 1
     log = (tmp_path / "train_log.csv").read_text().splitlines()
     assert len(log) < 61  # aborted early, not a full run
+
+
+def test_train_nan_gradient_aborts_with_last_good_state(tmp_path, monkeypatch):
+    # the second divergence trigger: a finite loss whose gradient adam_step
+    # rejects; the parameters after two clean updates must stay on disk
+    corpus, vs, vt, model, kw = _quick_setup(steps=8)
+    calls = []
+
+    def clip_then_poison(grads, cap):
+        norm = clip_global_norm(grads, cap)
+        calls.append(norm)
+        if len(calls) == 3:
+            name = next(iter(grads))
+            grads[name] = np.full_like(grads[name], np.nan)
+        return norm
+
+    monkeypatch.setattr("ktransformer.trainer.clip_global_norm", clip_then_poison)
+    before = {n: p.data.copy() for n, p in model.parameters().items()}
+    with pytest.raises(DivergenceError, match="non-finite gradient"):
+        train(model, corpus, vs, vt, TrainConfig(out_dir=str(tmp_path), **kw))
+    assert len(calls) == 3
+    loaded = load_checkpoint(tmp_path / "final.ckpt")
+    assert loaded.state.t == 2
+    for name, p in loaded.model.parameters().items():
+        assert np.all(np.isfinite(p.data)), name
+        assert p.data.tobytes() == model.parameters()[name].data.tobytes()
+    assert any(not np.array_equal(before[n], p.data) for n, p in loaded.model.parameters().items())
 
 
 def test_train_config_validation(tmp_path):
