@@ -57,13 +57,13 @@ def _resolve_out_dir(flag_value: str | None, config_value: str = "") -> Path:
 
 
 def cmd_preprocess(args) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     corpus = ParallelCorpus.from_raw_files(args.src, args.tgt, args.profile_src, args.profile_tgt)
     if len(corpus) == 0:
         raise DataError("empty corpus: input files contain no sentences")
     vocab_src = build_vocab(corpus.src, args.max_vocab, args.min_freq)
     vocab_tgt = build_vocab(corpus.tgt, args.max_vocab, args.min_freq)
+    out_dir = Path(args.out_dir)  # created only once the inputs have been read and checked
+    out_dir.mkdir(parents=True, exist_ok=True)
     corpus.write_token_files(out_dir / "src.tok", out_dir / "tgt.tok")
     vocab_src.save(out_dir / "src.vocab")
     vocab_tgt.save(out_dir / "tgt.vocab")
@@ -85,26 +85,19 @@ def cmd_preprocess(args) -> int:
 def _split_validation(corpus: ParallelCorpus, fraction: float, seed: int, enabled: bool):
     """Deterministically carve off a validation slice (possibly empty)."""
     n = len(corpus)
-    n_val = 0
-    if enabled and n >= 2:
-        n_val = min(int(round(n * fraction)), n - 1)
-        if n_val == 0:
-            n_val = 1
-    perm = np.random.default_rng(seed).permutation(n)
-    val_idx = set(int(i) for i in perm[:n_val])
-    tr = ParallelCorpus(
-        src=[corpus.src[i] for i in range(n) if i not in val_idx],
-        tgt=[corpus.tgt[i] for i in range(n) if i not in val_idx],
-        profile_src=corpus.profile_src,
-        profile_tgt=corpus.profile_tgt,
-    )
-    va = ParallelCorpus(
-        src=[corpus.src[i] for i in range(n) if i in val_idx],
-        tgt=[corpus.tgt[i] for i in range(n) if i in val_idx],
-        profile_src=corpus.profile_src,
-        profile_tgt=corpus.profile_tgt,
-    )
-    return tr, va
+    n_val = max(1, min(round(n * fraction), n - 1)) if enabled and n >= 2 else 0
+    val_idx = set(int(i) for i in np.random.default_rng(seed).permutation(n)[:n_val])
+
+    def part(in_val: bool) -> ParallelCorpus:
+        keep = [i for i in range(n) if (i in val_idx) == in_val]
+        return ParallelCorpus(
+            src=[corpus.src[i] for i in keep],
+            tgt=[corpus.tgt[i] for i in keep],
+            profile_src=corpus.profile_src,
+            profile_tgt=corpus.profile_tgt,
+        )
+
+    return part(False), part(True)
 
 
 def cmd_train(args) -> int:
@@ -132,6 +125,8 @@ def cmd_train(args) -> int:
     vocab_src = Vocabulary.load(cfg.vocab_src)
     vocab_tgt = Vocabulary.load(cfg.vocab_tgt)
     train_corpus, val_corpus = _split_validation(corpus, cfg.val_fraction, cfg.seed, cfg.val_interval > 0)
+    if not retained_indices(train_corpus, cfg.max_len):
+        raise DataError(f"corpus empty after filtering to lengths 1..{cfg.max_len}")
 
     model = KTransformer(cfg.to_model_config(len(vocab_src), len(vocab_tgt)))
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -154,9 +149,19 @@ def cmd_translate(args) -> int:
     todo = [i for i, tokens in enumerate(tokenized) if tokens]
     sources = [encode(tokenized[i], loaded.vocab_src) for i in todo]
     out_lines = [""] * len(lines)
-    for i, out_ids in zip(todo, model.greedy_translate_batch(sources, max_out_len=args.max_out_len)):
-        out_lines[i] = " ".join(decode(out_ids, loaded.vocab_tgt))
-    Path(args.output).write_text("".join(l + "\n" for l in out_lines), encoding="utf-8")
+    # opened before decoding and moved onto --output only on success, so an
+    # unwritable output fails fast and a failed request leaves the old one
+    tmp = Path(f"{args.output}.tmp")
+    f = open(tmp, "w", encoding="utf-8")
+    try:
+        with f:
+            for i, out_ids in zip(todo, model.greedy_translate_batch(sources, max_out_len=args.max_out_len)):
+                out_lines[i] = " ".join(decode(out_ids, loaded.vocab_tgt))
+            f.write("".join(l + "\n" for l in out_lines))
+        os.replace(tmp, args.output)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     print(f"translated {len(lines)} lines -> {args.output}")
     return EXIT_OK
 

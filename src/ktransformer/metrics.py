@@ -129,7 +129,8 @@ def corpus_bleu(
             raise ValueError("empty reference")
         c += len(candidate)
         r += len(reference)
-        for n in range(1, n_max + 1):
+        # an order longer than the candidate would add (0, 0), so it is skipped
+        for n in range(1, min(n_max, len(candidate)) + 1):
             matched, total = clipped_counts(candidate, reference, n)
             totals[n - 1][0] += matched
             totals[n - 1][1] += total

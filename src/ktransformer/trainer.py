@@ -13,6 +13,7 @@ host endianness.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -370,16 +371,17 @@ def train(
     each padded batch, clipping, Adam, periodic validation BLEU. The step's
     loss is the mean of the per-sentence losses, summed from sentence 0.
 
-    Writes train_log.csv (append-only), final.ckpt (initial state first, so
-    a later divergence abort always leaves the last good parameters there),
-    and best.ckpt at each validation high-water mark. Deterministic given
+    Writes train_log.csv (append-only), best.ckpt at each validation
+    high-water mark, and final.ckpt once, when ``train`` returns or raises:
+    it holds the state after the last completed step (the initial state if
+    none completed). A divergence raises before any parameter or moment
+    changes, so it too leaves the last good state there. Deterministic given
     the seeds: same config, same corpus, same floats.
     """
     config.validate()
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     final_path = out_dir / "final.ckpt"
-    best_path = out_dir / "best.ckpt"
     params = model.parameters()
     state = AdamState(params, lr=config.lr)
     meta = dict(
@@ -388,57 +390,47 @@ def train(
         profile_src=corpus.profile_src,
         profile_tgt=corpus.profile_tgt,
     )
-    save_checkpoint(model, final_path, state=state, **meta)
-
+    # epoch e's batches are built only when epoch e starts; range comes first
+    # in the zip so no batch is pulled after max_steps
+    epochs = (
+        make_batches(corpus, vocab_src, vocab_tgt, config.batch_size, max_len=model.config.max_len, seed=config.seed + e)
+        for e in itertools.count()
+    )
     log: list[LogRow] = []
     best = -1.0
-    step = 0
-    epoch = 0
-    with open(out_dir / "train_log.csv", "w", encoding="utf-8") as log_file:
-        log_file.write("step,loss,val_bleu,wall_ms\n")
-        while step < config.max_steps:
-            batches = make_batches(
-                corpus, vocab_src, vocab_tgt, config.batch_size, max_len=model.config.max_len, seed=config.seed + epoch
-            )
-            for batch in batches:
-                if step >= config.max_steps:
-                    break
+    try:
+        with open(out_dir / "train_log.csv", "w", encoding="utf-8") as log_file:
+            log_file.write("step,loss,val_bleu,wall_ms\n")
+            for step, batch in zip(range(1, config.max_steps + 1), itertools.chain.from_iterable(epochs)):
                 t0 = time.perf_counter()
-                rng = np.random.default_rng([config.seed, step])
+                rng = np.random.default_rng([config.seed, step - 1])
                 with GradientTape() as tape:
                     losses = model.sequence_loss(
                         batch.src_ids, batch.tgt_ids, src_mask=batch.src_mask, tgt_mask=batch.tgt_mask, rng=rng
                     )
                     mean_loss = scale(sum_all(losses), 1.0 / len(batch))
-                try:
-                    loss_val = float(mean_loss.data)
-                    if not math.isfinite(loss_val):
-                        raise DivergenceError(
-                            f"non-finite loss at step {step + 1}; last good parameters kept in {final_path}"
-                        )
-                    backward(mean_loss, tape)
-                    grads: dict[str, np.ndarray] = {}
-                    for name, p in params.items():
-                        grads[name] = p.grad if p.grad is not None else np.zeros_like(p.data)
-                        p.grad = None
-                    clip_global_norm(grads, config.grad_clip)
-                    lr_scale = min(1.0, (step + 1) / config.warmup_steps) if config.warmup_steps > 0 else 1.0
-                    adam_step(params, grads, state, lr_scale=lr_scale)
-                except DivergenceError:
-                    save_checkpoint(model, final_path, state=state, **meta)
-                    raise
-                step += 1
+                loss_val = float(mean_loss.data)
+                if not math.isfinite(loss_val):
+                    raise DivergenceError(f"non-finite loss at step {step}; last good parameters kept in {final_path}")
+                backward(mean_loss, tape)
+                grads: dict[str, np.ndarray] = {}
+                for name, p in params.items():
+                    grads[name] = p.grad if p.grad is not None else np.zeros_like(p.data)
+                    p.grad = None
+                clip_global_norm(grads, config.grad_clip)
+                lr_scale = min(1.0, step / config.warmup_steps) if config.warmup_steps > 0 else 1.0
+                adam_step(params, grads, state, lr_scale=lr_scale)
 
                 val = None
-                if config.val_interval > 0 and step % config.val_interval == 0 and val_corpus is not None and len(val_corpus) > 0:
+                if config.val_interval > 0 and step % config.val_interval == 0 and val_corpus is not None:
                     val = corpus_greedy_bleu(model, val_corpus, vocab_src, vocab_tgt)
                     if val is not None and val >= best:
                         best = val
-                        save_checkpoint(model, best_path, state=state, **meta)
+                        save_checkpoint(model, out_dir / "best.ckpt", state=state, **meta)
                 row = LogRow(step=step, loss=loss_val, val_bleu=val, wall_ms=(time.perf_counter() - t0) * 1000.0)
                 log.append(row)
                 log_file.write(_log_line(row))
                 log_file.flush()
-            epoch += 1
-    save_checkpoint(model, final_path, state=state, **meta)
+    finally:
+        save_checkpoint(model, final_path, state=state, **meta)
     return log

@@ -113,6 +113,7 @@ def test_preprocess_misaligned_is_data_error(workdir):
 def test_preprocess_missing_file_is_data_error(workdir):
     rc = main(["preprocess", "--src", "no_such.txt", "--tgt", "also_missing.txt", "--out-dir", str(workdir / "p")])
     assert rc == EXIT_DATA
+    assert not (workdir / "p").exists()  # created only after the inputs were read
 
 
 # ------------------------------------------------------------ train
@@ -227,6 +228,17 @@ def test_train_divergence_exit_code(workdir):
     with np.errstate(all="ignore"):
         rc = main(["train", "--config", str(cfg)])
     assert rc == EXIT_DIVERGENCE
+
+
+def test_train_untrainable_corpus_leaves_no_run_dir(workdir, capsys):
+    # every pair is longer than max_len: refused before anything is written
+    prep = run_preprocess(workdir)
+    cfg = workdir / "short.cfg"
+    cfg.write_text(train_cfg_lines(prep, workdir / "r") + "max_len = 1\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg)]) == EXIT_DATA
+    assert "data error:" in capsys.readouterr().err
+    assert not (workdir / "r").exists()
 
 
 def test_train_env_var_run_dir(workdir, monkeypatch):
@@ -405,6 +417,38 @@ def test_translate_past_positional_table_is_usage_error(workdir):
     assert out.read_text(encoding="utf-8").splitlines() == [" ".join("a" * 6), "", " ".join("a" * 6)]
     assert main(args + ["2"]) == EXIT_OK
     assert out.read_text(encoding="utf-8").splitlines() == ["a a", "", "a a"]
+
+
+def test_translate_unwritable_output_fails_before_decoding(workdir, monkeypatch):
+    _, run = _trained_run(workdir)
+    inp = workdir / "in.txt"
+    inp.write_text("w01 w02\n", encoding="utf-8")
+
+    def never(*args, **kw):
+        raise AssertionError("decoded before the output was opened")
+
+    monkeypatch.setattr("ktransformer.model.KTransformer.greedy_translate_batch", never)
+    argv = ["translate", "--checkpoint", str(run / "final.ckpt"), "--input", str(inp),
+            "--output", str(workdir / "nodir" / "out.txt")]
+    assert main(argv) == EXIT_DATA
+
+
+def test_translate_failed_request_keeps_earlier_output(workdir, monkeypatch):
+    _, run = _trained_run(workdir)
+    inp = workdir / "in.txt"
+    inp.write_text("w01 w02\nw03\n", encoding="utf-8")
+    out = workdir / "out.txt"
+    argv = ["translate", "--checkpoint", str(run / "final.ckpt"), "--input", str(inp), "--output", str(out)]
+    assert main(argv) == EXIT_OK
+    before = out.read_bytes()
+
+    def fail(*args, **kw):
+        raise ValueError("decoding failed")
+
+    monkeypatch.setattr("ktransformer.model.KTransformer.greedy_translate_batch", fail)
+    assert main(argv) == EXIT_USAGE
+    assert out.read_bytes() == before
+    assert sorted(p.name for p in workdir.iterdir() if p.name.startswith("out")) == ["out.txt"]
 
 
 def test_translate_empty_input_gives_empty_output(workdir):

@@ -231,6 +231,28 @@ def test_corpus_empty_candidate_allowed():
     assert 0.0 < rep.score < 1.0  # bp punishes the missing tokens
 
 
+def test_corpus_counts_only_the_orders_a_candidate_has(monkeypatch):
+    # orders past a candidate's length add (0, 0), so they are not counted
+    import ktransformer.metrics as metrics
+
+    calls = []
+
+    def counting(candidate, reference, n):
+        calls.append(n)
+        return clipped_counts(candidate, reference, n)
+
+    monkeypatch.setattr(metrics, "clipped_counts", counting)
+    pairs = [(["a", "b", "c"], ["a", "b", "c"]), (["a", "b", "d", "e"], ["a", "b", "d"])]
+    rep = corpus_bleu(pairs, n_max=2000)
+    assert len(calls) == 3 + 4
+    assert len(rep.precisions) == len(rep.weights) == 2000
+    assert rep.precisions[4:] == [None] * 1996
+    for n in range(1, 5):
+        m = sum(oracle_clipped(c, r, n)[0] for c, r in pairs)
+        t = sum(oracle_clipped(c, r, n)[1] for c, r in pairs)
+        assert rep.precisions[n - 1] == Fraction(m, t)
+
+
 # ------------------------------------------------------------ buckets
 
 

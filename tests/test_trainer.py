@@ -589,6 +589,46 @@ def test_train_nan_gradient_aborts_with_last_good_state(tmp_path, monkeypatch):
     assert any(not np.array_equal(before[n], p.data) for n, p in loaded.model.parameters().items())
 
 
+def test_train_interrupt_leaves_last_completed_step(tmp_path, monkeypatch):
+    # any exit, not only a divergence, leaves final.ckpt at the last completed step
+    corpus, vs, vt, model, kw = _quick_setup(steps=8)
+    calls = []
+
+    def clip_then_interrupt(grads, cap):
+        calls.append(cap)
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        return clip_global_norm(grads, cap)
+
+    monkeypatch.setattr("ktransformer.trainer.clip_global_norm", clip_then_interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        train(model, corpus, vs, vt, TrainConfig(out_dir=str(tmp_path), **kw))
+    loaded = load_checkpoint(tmp_path / "final.ckpt")
+    assert loaded.state.t == 2
+    for name, p in loaded.model.parameters().items():
+        assert p.data.tobytes() == model.parameters()[name].data.tobytes(), name
+    assert len((tmp_path / "train_log.csv").read_text().splitlines()) == 1 + 2
+
+
+def test_train_builds_each_epoch_when_it_starts(tmp_path, monkeypatch):
+    # 24 pairs in batches of 4 are 6 steps an epoch: 12 steps use exactly two
+    # epochs, and no batch is pulled after the last step
+    import ktransformer.trainer as trainer
+
+    make_batches = trainer.make_batches
+    seeds = []
+
+    def recording(*args, seed, **kw):
+        seeds.append(seed)
+        return make_batches(*args, seed=seed, **kw)
+
+    monkeypatch.setattr(trainer, "make_batches", recording)
+    corpus, vs, vt, model, kw = _quick_setup(steps=12, seed=3)
+    rows = train(model, corpus, vs, vt, TrainConfig(out_dir=str(tmp_path), **kw))
+    assert [r.step for r in rows] == list(range(1, 13))
+    assert seeds == [3, 4]
+
+
 def test_train_config_validation(tmp_path):
     with pytest.raises(ValueError):
         TrainConfig(out_dir=str(tmp_path), lr=0.0).validate()
