@@ -13,13 +13,15 @@ Encoding, teacher-forced decoding and the loss take one sentence (1-D ids,
 (length, d_model) activations) or a padded batch of them ((B, length) ids,
 (B, length, d_model) activations) with boolean masks marking each real
 prefix. A batch runs as one pass and gives every sentence the floats it
-would get on its own at the batch's padded width; k-means and the cluster
-tables are still per sentence. Training, with its dropout draws, and
+would get on its own at the batch's padded width. The cluster stage is
+whole-batch too: one batched k-means fit over the real rows of every
+sentence and one build of each bias table, with each sentence's floats
+those of clustering it alone. Training, with its dropout draws, and
 serving reach the two stacks through the same ``encode`` and
 ``decode_forward``. Greedy decoding sorts the sentences by length
-and encodes each chunk of them as one padded batch, k-means still per
-sentence; a memory row then matches encoding its sentence alone up to
-rounding (within 1e-12 relative in f64). The chunk decodes in lockstep
+and encodes each chunk of them as one padded batch; a memory row then
+matches encoding its sentence alone up to rounding (within 1e-12 relative
+in f64). The chunk decodes in lockstep
 through ``IncrementalDecoder``: one new (batch, d_model) row per step, heads
 in training's (batch, heads, rows, d_k) layout, each attention's per-head
 projections fused into one product, each layer's
@@ -35,7 +37,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .cluster import ClusterResult, kmeans_fit
+from .cluster import ClusterBatch, ClusterResult, kmeans_fit_batch
 from .corpus import PAD_ID, BOS_ID, EOS_ID, _pad_block
 from .layers import (
     FeedForward,
@@ -203,6 +205,32 @@ def _centroid_cosines(result: ClusterResult, embeddings: np.ndarray) -> np.ndarr
     return cos
 
 
+def _batch_centroid_cosines(fit: ClusterBatch, emb: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """(B, K, n) float64: ``_centroid_cosines`` of every sentence of a padded
+    batch, zero past each sentence's clusters and real rows. A sentence's
+    dot products stay one matrix-vector product per centroid over exactly
+    its usable rows (real, nonzero norm), as alone: sentences with the same
+    usable rows share one stacked product, since a product over padded rows
+    can round differently."""
+    emb = np.asarray(emb, dtype=np.float64)
+    cen = fit.centroids.astype(np.float64)
+    e_norm = np.sqrt((emb * emb).sum(axis=2))
+    c_norm = np.sqrt((cen * cen).sum(axis=2))
+    usable = (e_norm >= 1e-12) & mask
+    dots = np.zeros(cen.shape[:2] + emb.shape[1:2], dtype=np.float64)
+    packed = np.packbits(usable, axis=1)  # one byte string per sentence's usable rows
+    _, group = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(), return_inverse=True)
+    slots = np.arange(cen.shape[1])[:, None]
+    for g in range(group.max() + 1):
+        rows = np.flatnonzero(group == g)
+        cols = np.flatnonzero(usable[rows[0]])
+        alone = np.ascontiguousarray(emb[rows][:, cols])
+        dots[rows[:, None, None], slots, cols] = (alone[:, None] @ cen[rows][:, :, :, None])[..., 0]
+    keep = (c_norm >= 1e-12)[:, :, None] & usable[:, None, :]  # a slot past k[b] holds a zero centroid
+    cos = np.zeros(dots.shape, dtype=np.float64)
+    return np.divide(dots, e_norm[:, None, :] * c_norm[:, :, None], out=cos, where=keep)
+
+
 def _prefixed(**parts) -> dict[str, Tensor]:
     """Every part's ``params()`` in argument order, each name prefixed with
     the part's keyword: ``"{prefix}.{name}"``."""
@@ -296,12 +324,6 @@ class KTransformer:
         embeds = {"src_embed": self.src_embed, "tgt_embed": self.tgt_embed}
         return embeds | _prefixed(**encoder, **decoder) | {"out_proj": self.out_proj}
 
-    def cluster_source(self, embeddings: np.ndarray) -> ClusterResult:
-        """Cluster one sentence's raw token embeddings, an (n, d_model)
-        array, with k clamped to the sentence length n."""
-        k_eff = min(self.config.clusters_k, embeddings.shape[0])
-        return kmeans_fit(embeddings, k_eff, seed=self.config.cluster_seed)
-
     def _dropout_draws(self, rng: np.random.Generator | None, lead: tuple[int, ...], lengths: tuple[int, ...]) -> list:
         """U[0, 1) samples from ``rng`` for input dropout at each site of a
         sentence, (length, d_model) each, for every sentence in turn:
@@ -315,31 +337,27 @@ class KTransformer:
         cuts = np.cumsum([n * d for n in lengths])[:-1]
         return [u.reshape(lead + (n, d)) for u, n in zip(np.split(flat, cuts, axis=-1), lengths)]
 
-    def _cluster_bias_tables(self, emb: np.ndarray, mask: np.ndarray):
-        """k-means on each sentence's real token embeddings, and the constant
-        tables of the cluster bias: the same-cluster indicator, (B, 1, n, n),
-        and each head's centroid cosine of every key, broadcast over the
-        query rows, (B, heads, n, n); zero in padded rows and columns. Returns
-        (cluster results, indicator, cosines); a table that ``cluster_mode``
+    def cluster_bias_tables(self, emb: np.ndarray, mask: np.ndarray):
+        """The cluster stage of ``encode`` for a padded batch of raw token
+        embeddings, (B, n, d_model), and its (B, n) mask: k-means on every
+        sentence's real rows, as one batched fit with k clamped to each
+        sentence's length, and the constant tables of the cluster bias: the same-cluster indicator, (B, 1, n, n), and
+        each head's centroid cosine of every key, broadcast over the query
+        rows, (B, heads, n, n); zero in padded rows and columns. Returns
+        (cluster batch, indicator, cosines); a table that ``cluster_mode``
         does not use is None."""
         cfg = self.config
-        b, n = mask.shape
-        want_same = cfg.cluster_mode in ("same_cluster", "both")
-        want_aff = cfg.cluster_mode in ("centroid_affinity", "both")
-        same = np.zeros((b, 1, n, n), dtype=self.dtype) if want_same else None
-        aff = np.zeros((b, cfg.heads, n, n), dtype=self.dtype) if want_aff else None
-        results = []
-        for i in range(b):
-            n_real = int(mask[i].sum())
-            real = emb[i, :n_real]
-            result = self.cluster_source(real)
-            results.append(result)
-            if want_same:
-                same[i, 0, :n_real, :n_real] = _same_cluster(result)
-            if want_aff:
-                cos = _centroid_cosines(result, real).astype(self.dtype)
-                aff[i, :, :n_real, :n_real] = cos[np.arange(cfg.heads) % cos.shape[0], None, :]
-        return results, same, aff
+        fit = kmeans_fit_batch(emb, mask.sum(axis=1), cfg.clusters_k, seed=cfg.cluster_seed)
+        same = aff = None
+        if cfg.cluster_mode in ("same_cluster", "both"):
+            a = fit.assignments
+            same = ((a[:, :, None] == a[:, None, :]) & mask[:, :, None] & mask[:, None, :]).astype(self.dtype)[:, None]
+        if cfg.cluster_mode in ("centroid_affinity", "both"):
+            cos = _batch_centroid_cosines(fit, emb, mask)
+            head_centroid = (np.arange(cfg.heads) % fit.k[:, None])[:, :, None]
+            keys = np.take_along_axis(cos, head_centroid, axis=1).astype(self.dtype)
+            aff = np.where(mask[:, None, :, None], keys[:, :, None, :], 0)
+        return fit, same, aff
 
     def encode(self, src_ids, src_mask=None, uniform=None):
         """Run the encoder over one (possibly PAD-suffixed) source sentence,
@@ -348,8 +366,8 @@ class KTransformer:
         draws there is no dropout.
 
         Returns (memory, cluster result); for a batch, the cluster slot is
-        the list of per-sentence results. It is None when cluster_mode is
-        off. Padded rows pass through the stack but are excluded from every
+        the batch's ``ClusterBatch``, whose item b is sentence b's result.
+        It is None when cluster_mode is off. Padded rows pass through the stack but are excluded from every
         attention softmax via the mask.
         """
         cfg = self.config
@@ -362,7 +380,7 @@ class KTransformer:
         emb = pick_rows(self.src_embed, ids)
         results, tables = None, (None, None)
         if cfg.cluster_mode != "off":
-            results, *tables = self._cluster_bias_tables(emb.data.reshape(-1, n, cfg.d_model), mask.reshape(-1, n))
+            results, *tables = self.cluster_bias_tables(emb.data.reshape(-1, n, cfg.d_model), mask.reshape(-1, n))
             if ids.ndim == 1:
                 results, tables = results[0], [None if t is None else t[0] for t in tables]
 
@@ -450,8 +468,8 @@ class KTransformer:
 
         The sentences are sorted by length and cut into chunks of up to
         ``DECODE_BATCH``. Each chunk is encoded as one padded (B, width)
-        batch, with k-means and the cluster tables still per sentence on its
-        real rows, and then decodes in lockstep through
+        batch, its cluster stage one batched fit over the real rows, and
+        then decodes in lockstep through
         ``IncrementalDecoder``. At the chunk's padded width a memory row
         matches encoding its sentence alone up to rounding (within 1e-12
         relative in f64), so the emitted tokens are those of the

@@ -80,17 +80,38 @@ class TrainConfig:
 
 class AdamState:
     """First/second moment buffers, the learning rate and the shared step
-    counter; beta1, beta2 and eps are the module's ``ADAM_*`` constants."""
+    counter; beta1, beta2 and eps are the module's ``ADAM_*`` constants.
+
+    The state owns one flat buffer each for the parameters, their gradients,
+    m and v (``flat_params``, ``flat_grads``, ``flat_m``, ``flat_v``), laid
+    out in ``params`` order, and one scratch buffer of the same size, all in
+    the parameters' one dtype. ``m[name]`` and ``v[name]`` are views into the
+    moment buffers; ``adam_step`` makes each parameter's ``data`` its view
+    in ``param_views``."""
 
     def __init__(self, params: dict[str, Tensor], lr: float = 3e-4):
         # lr 0 is allowed here and makes the update an identity; TrainConfig
         # is the layer that insists on a positive rate.
         if not (math.isfinite(lr) and lr >= 0):
             raise ValueError(f"learning rate must be finite and nonnegative, got {lr}")
+        kinds = {p.data.dtype.type for p in params.values()}
+        if len(kinds) > 1:
+            raise ValueError(f"parameters must share one dtype, got {sorted(k.__name__ for k in kinds)}")
+        dtype = kinds.pop() if kinds else np.float64
         self.lr = lr
         self.t = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
-        self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
+        bounds = np.cumsum([0] + [p.data.size for p in params.values()]).tolist()
+        flat = [np.zeros(bounds[-1], dtype=dtype) for _ in range(5)]
+        self.flat_params, self.flat_grads, self.flat_m, self.flat_v, self.scratch = flat
+
+        def views(flat: np.ndarray) -> dict[str, np.ndarray]:
+            return {
+                name: flat[lo:hi].reshape(p.data.shape)
+                for (name, p), lo, hi in zip(params.items(), bounds, bounds[1:])
+            }
+
+        self.m, self.v = views(self.flat_m), views(self.flat_v)
+        self.param_views, self.grad_views = views(self.flat_params), views(self.flat_grads)
 
 
 def clip_global_norm(grads: dict[str, np.ndarray], cap: float) -> float:
@@ -109,32 +130,54 @@ def clip_global_norm(grads: dict[str, np.ndarray], cap: float) -> float:
 
 
 def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: AdamState, lr_scale: float = 1.0) -> None:
-    """One bias-corrected Adam update, in place on the parameter tensors.
+    """One bias-corrected Adam update, in place on the state's flat buffers.
 
-    Any non-finite gradient rejects the whole step (raises before touching
-    parameters or moments). ``lr_scale`` carries the warmup multiplier.
+    Each parameter's ``data`` becomes its view into ``state.flat_params``; a
+    tensor whose ``data`` was rebound since the last step is copied in
+    first. The gradients are copied into ``state.flat_grads`` in one
+    concatenation, cast to the parameters' dtype. Any non-finite gradient
+    rejects the whole step (raises before touching parameters or moments).
+    ``lr_scale`` carries the warmup multiplier. Each element goes through
+    the per-tensor update's operations in their order, so the floats do not
+    depend on the layout.
     """
     if set(grads) != set(params):
         missing = set(params) ^ set(grads)
         raise ValueError(f"gradient/parameter name mismatch: {sorted(missing)[:5]}")
-    for name, g in grads.items():
-        if g.shape != params[name].data.shape:
-            raise ValueError(f"gradient shape {g.shape} for {name!r} does not match {params[name].data.shape}")
-        if not np.all(np.isfinite(g)):
-            raise DivergenceError(f"non-finite gradient for {name!r}; step rejected")
+    if params.keys() != state.param_views.keys():
+        raise ValueError("parameter names do not match the optimizer state")
+    for name, view in state.param_views.items():
+        p = params[name]
+        if grads[name].shape != p.data.shape:
+            raise ValueError(f"gradient shape {grads[name].shape} for {name!r} does not match {p.data.shape}")
+        if p.data is not view:
+            if p.data.shape != view.shape:
+                raise ValueError(f"parameter {name!r} has shape {p.data.shape}, the optimizer state {view.shape}")
+            view[...] = p.data
+            p.data = view
+    g = state.flat_grads
+    np.concatenate([grads[name].reshape(-1) for name in state.param_views], out=g)
+    if not np.isfinite(g).all():
+        name = next(name for name in grads if not np.isfinite(state.grad_views[name]).all())
+        raise DivergenceError(f"non-finite gradient for {name!r}; step rejected")
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1 ** state.t
     bc2 = 1.0 - ADAM_BETA2 ** state.t
     lr = state.lr * float(lr_scale)  # a numpy scalar would promote f32 parameters
-    for name, p in params.items():
-        g = grads[name].astype(p.data.dtype, copy=False)
-        m = state.m[name]
-        v = state.v[name]
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * (g * g)
-        p.data = p.data - lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+    m, v, s = state.flat_m, state.flat_v, state.scratch
+    m *= ADAM_BETA1
+    m += np.multiply(g, 1.0 - ADAM_BETA1, out=s)
+    v *= ADAM_BETA2
+    np.multiply(g, g, out=s)
+    s *= 1.0 - ADAM_BETA2
+    v += s
+    # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), the gradient buffer holding the step
+    np.sqrt(np.divide(v, bc2, out=s), out=s)
+    s += ADAM_EPS
+    step = np.divide(m, bc1, out=g)
+    step *= lr
+    step /= s
+    state.flat_params -= step
 
 
 def _dtype_code(dtype: np.dtype) -> str:

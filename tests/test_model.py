@@ -155,19 +155,29 @@ def test_one_bias_op_equals_single_head_cluster_bias(mode, precision):
     layer = m.encoder[0]
     for i, g in enumerate(layer.bias.gain_same + layer.bias.gain_affinity):
         g.data = np.asarray(0.4 * (i + 1) * (-1) ** i, dtype=g.data.dtype)
-    ids = np.array([[4, 5, 6, 7, 8, 9], [9, 4, PAD_ID, PAD_ID, PAD_ID, PAD_ID], [10, 11, 10, 4, PAD_ID, PAD_ID]])
+    ids = np.array([
+        [4, 5, 6, 7, 8, 9],
+        [9, 4, PAD_ID, PAD_ID, PAD_ID, PAD_ID],
+        [10, 11, 10, 4, PAD_ID, PAD_ID],
+        [5, 5, 5, 7, PAD_ID, PAD_ID],  # two distinct points for 3 clusters: a repair
+        [8, PAD_ID, PAD_ID, PAD_ID, PAD_ID, PAD_ID],  # one token, one cluster
+        [6, 7, 8, 9, PAD_ID, PAD_ID],  # a third row of length 4
+    ])
     mask = ids != PAD_ID
+    m.src_embed.data[11] = 0.0  # a zero-norm key, whose cosines are 0, in the third row
     emb = m.src_embed.data[ids]
-    results, *tables = m._cluster_bias_tables(emb, mask)
+    results, *tables = m.cluster_bias_tables(emb, mask)
     gains = (layer.bias.gain_same, layer.bias.gain_affinity)
     terms = [(g, t) for g, t in zip(gains, tables) if t is not None]
     bias = T.gated_heads(terms).data
-    assert bias.shape == (3, 4, 6, 6)
+    assert bias.shape == (6, 4, 6, 6)
     for b, n_real in enumerate(mask.sum(axis=1)):
         real = Tensor(emb[b, :n_real].copy())
-        assert np.array_equal(results[b].assignments, m.cluster_source(real.data).assignments)
+        alone = kmeans_fit(real.data, min(3, int(n_real)), seed=m.config.cluster_seed)
+        assert results[b].assignments.tobytes() == alone.assignments.tobytes()
+        assert results[b].centroids.tobytes() == alone.centroids.tobytes()
         for h in range(4):
-            want = cluster_bias(results[b], real, h, layer.bias, mode, total_len=6).data
+            want = cluster_bias(alone, real, h, layer.bias, mode, total_len=6).data
             assert bias[b, h].tobytes() == want.tobytes()
 
 
@@ -301,7 +311,7 @@ def test_same_cluster_attention_weight_exceeds_cross_cluster():
         wq.data = np.zeros_like(wq.data)
     ids = np.array([4, 5, 6, 7])
     emb_t = T.pick_rows(m.src_embed, ids)
-    res = m.cluster_source(emb_t.data)
+    res = kmeans_fit(emb_t.data, min(cfg.clusters_k, len(ids)), seed=cfg.cluster_seed)
     bias = cluster_bias(res, emb_t, 0, layer.bias, "same_cluster")
     from ktransformer.layers import scaled_dot_attention
 

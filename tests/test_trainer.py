@@ -128,6 +128,61 @@ def test_nonfinite_gradient_rejected_before_mutation():
     assert state.t == 0
     assert np.all(state.m["w"] == 0.0)
 
+    # a model's flat buffers: a NaN in a middle tensor names that tensor and
+    # changes no parameter or moment byte
+    model = tiny_model()
+    params = model.parameters()
+    state = AdamState(params, lr=0.01)
+    rng = np.random.default_rng(3)
+    adam_step(params, {n: rng.normal(size=p.data.shape) for n, p in params.items()}, state)
+    names = list(params)
+    middle = names[len(names) // 2]
+    grads = {n: rng.normal(size=p.data.shape) for n, p in params.items()}
+    grads[middle].flat[-1] = np.inf
+    grads[names[-1]].flat[0] = np.nan  # a later tensor is not the one named
+    snapshot = {n: (p.data.tobytes(), state.m[n].tobytes(), state.v[n].tobytes()) for n, p in params.items()}
+    with pytest.raises(DivergenceError, match=f"non-finite gradient for '{middle}'"):
+        adam_step(params, grads, state)
+    assert state.t == 1
+    assert {n: (p.data.tobytes(), state.m[n].tobytes(), state.v[n].tobytes()) for n, p in params.items()} == snapshot
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+def test_flat_adam_matches_per_tensor_formula(precision):
+    # five steps under warmup, one parameter rebound between steps, against
+    # the per-tensor update applied tensor by tensor: byte for byte, with
+    # every parameter ending as a view into the state's one flat buffer
+    model = tiny_model(precision=precision)
+    params = model.parameters()
+    assert any(p.data.ndim == 0 for p in params.values())  # the cluster gates
+    state = AdamState(params, lr=0.01)
+    want = {n: p.data.copy() for n, p in params.items()}
+    m = {n: np.zeros_like(w) for n, w in want.items()}
+    v = {n: np.zeros_like(w) for n, w in want.items()}
+    rng = np.random.default_rng(5)
+    for t in range(1, 6):
+        if t == 3:
+            model.tgt_embed.data = model.tgt_embed.data * 0.5
+            want["tgt_embed"] = want["tgt_embed"] * 0.5
+        grads = {n: rng.normal(size=p.data.shape).astype(p.data.dtype) for n, p in params.items()}
+        lr_scale = min(1.0, t / 4)
+        adam_step(params, grads, state, lr_scale=lr_scale)
+        bc1, bc2, lr = 1.0 - 0.9**t, 1.0 - 0.999**t, 0.01 * lr_scale
+        for name in want:
+            g = grads[name]
+            m[name] *= 0.9
+            m[name] += (1.0 - 0.9) * g
+            v[name] *= 0.999
+            v[name] += (1.0 - 0.999) * (g * g)
+            want[name] = want[name] - lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + 1e-8)
+        for name, p in params.items():
+            assert p.data.dtype == model.dtype
+            assert p.data.tobytes() == want[name].tobytes(), (t, name)
+            assert state.m[name].tobytes() == m[name].tobytes() and state.v[name].tobytes() == v[name].tobytes()
+    flat = state.flat_params
+    assert all(np.shares_memory(p.data, flat) for p in params.values())
+    assert flat.tobytes() == b"".join(p.data.tobytes() for p in params.values())
+
 
 def test_gradient_name_mismatch_rejected():
     params, state = single_param([1.0])
