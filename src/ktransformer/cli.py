@@ -19,6 +19,7 @@ import numpy as np
 
 from .config import ConfigError, RunConfig, parse_file
 from .corpus import (
+    DEFAULT_PROFILE,
     DataError,
     ParallelCorpus,
     PROFILES,
@@ -143,7 +144,7 @@ def cmd_translate(args) -> int:
     if loaded.vocab_src is None or loaded.vocab_tgt is None:
         raise CheckpointError("checkpoint carries no vocabularies and cannot translate raw text")
     model = loaded.model
-    profile = loaded.profile_src or "space_tokenized"
+    profile = loaded.profile_src or DEFAULT_PROFILE
     lines = _read_lines(args.input)
     tokenized = [preprocess(line, profile)[: model.config.max_len] for line in lines]
     todo = [i for i, tokens in enumerate(tokenized) if tokens]
@@ -168,6 +169,8 @@ def cmd_translate(args) -> int:
 
 def _aligned_token_pairs(hyp_path, ref_path) -> list[tuple[list[str], list[str]]]:
     hyp_lines, ref_lines = _read_aligned(hyp_path, ref_path)
+    if not ref_lines:
+        raise DataError(f"empty corpus: {hyp_path} and {ref_path} hold no lines")
     pairs = []
     for i, (h, r) in enumerate(zip(hyp_lines, ref_lines), start=1):
         ref_tokens = r.split()
@@ -320,8 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("preprocess", help="tokenize a parallel corpus and build vocabularies")
     p.add_argument("--src", required=True, help="raw source text, one sentence per line")
     p.add_argument("--tgt", required=True, help="raw target text, aligned by line")
-    p.add_argument("--profile-src", default="space_tokenized", choices=PROFILES)
-    p.add_argument("--profile-tgt", default="space_tokenized", choices=PROFILES)
+    p.add_argument("--profile-src", default=DEFAULT_PROFILE, choices=PROFILES)
+    p.add_argument("--profile-tgt", default=DEFAULT_PROFILE, choices=PROFILES)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--max-vocab", type=int, default=8000, help="vocabulary size cap including the 4 specials")
     p.add_argument("--min-freq", type=int, default=1)

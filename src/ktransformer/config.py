@@ -5,16 +5,20 @@ Every key has a default; unknown keys are a hard error so typos cannot
 silently fall back to defaults. ``serialize`` and ``parse_text`` round-trip,
 which is what lets a run directory's echoed config reproduce the run.
 
-``ModelConfig`` and ``TrainConfig`` own the model and schedule defaults:
-``RunConfig`` reads each one from its owner, and ``to_model_config`` /
-``to_train_config`` copy the shared keys by name.
+The model keys are the fields of ``ModelConfig`` but the two vocabulary
+sizes, which are counted from the vocabulary files; the schedule keys are
+the fields of ``TrainConfig`` but ``out_dir``, which is a run key of its own.
+Each takes its name, type and default from its owner, so a field added
+there is a run key too. ``RunConfig`` declares only the keys that no other
+config has.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, make_dataclass
 from pathlib import Path
 
+from .corpus import DEFAULT_PROFILE
 from .model import ModelConfig
 from .trainer import TrainConfig
 
@@ -23,33 +27,21 @@ class ConfigError(Exception):
     """Malformed configuration text or an unknown/invalid key."""
 
 
+_MODEL_KEYS = [f for f in fields(ModelConfig) if f.name not in ("vocab_src", "vocab_tgt")]
+_SCHEDULE_KEYS = [f for f in fields(TrainConfig) if f.name != "out_dir"]
+
+# RunConfig's first fields: the model keys, then the schedule keys
+_ModelAndScheduleKeys = make_dataclass(
+    "_ModelAndScheduleKeys", [(f.name, f.type, field(default=f.default)) for f in _MODEL_KEYS + _SCHEDULE_KEYS]
+)
+
+
 @dataclass
-class RunConfig:
-    # model
-    d_model: int = ModelConfig.d_model
-    heads: int = ModelConfig.heads
-    d_ff: int = ModelConfig.d_ff
-    layers_enc: int = ModelConfig.layers_enc
-    layers_dec: int = ModelConfig.layers_dec
-    dropout: float = ModelConfig.dropout
-    max_len: int = ModelConfig.max_len
-    clusters_k: int = ModelConfig.clusters_k
-    cluster_mode: str = ModelConfig.cluster_mode
-    precision: str = ModelConfig.precision
-    init_seed: int = ModelConfig.init_seed
-    cluster_seed: int = ModelConfig.cluster_seed
-    # training
-    lr: float = TrainConfig.lr
-    warmup_steps: int = TrainConfig.warmup_steps
-    max_steps: int = TrainConfig.max_steps
-    batch_size: int = TrainConfig.batch_size
-    val_interval: int = TrainConfig.val_interval
+class RunConfig(_ModelAndScheduleKeys):
     val_fraction: float = 0.1
-    grad_clip: float = TrainConfig.grad_clip
-    seed: int = TrainConfig.seed
     # corpus profiles
-    profile_src: str = "space_tokenized"
-    profile_tgt: str = "space_tokenized"
+    profile_src: str = DEFAULT_PROFILE
+    profile_tgt: str = DEFAULT_PROFILE
     # paths (empty string = unset)
     train_src: str = ""
     train_tgt: str = ""
@@ -81,19 +73,15 @@ class RunConfig:
             out.append(f"{f.name} = {value!r}" if isinstance(value, float) else f"{f.name} = {value}")
         return "\n".join(out) + "\n"
 
-    def _shared(self, owner, *given: str) -> dict:
-        """This config's values for the fields of ``owner`` it has by the
-        same name, except the ``given`` ones, which the caller supplies."""
-        mine = {f.name for f in fields(self)}
-        return {f.name: getattr(self, f.name) for f in fields(owner) if f.name in mine and f.name not in given}
+    def _values(self, keys) -> dict:
+        return {f.name: getattr(self, f.name) for f in keys}
 
     def to_model_config(self, vocab_src_size: int, vocab_tgt_size: int) -> ModelConfig:
         # here vocab_src/vocab_tgt are vocabulary paths; in ModelConfig they are sizes
-        shared = self._shared(ModelConfig, "vocab_src", "vocab_tgt")
-        return _validated(ModelConfig(vocab_src=vocab_src_size, vocab_tgt=vocab_tgt_size, **shared))
+        return _validated(ModelConfig(vocab_src=vocab_src_size, vocab_tgt=vocab_tgt_size, **self._values(_MODEL_KEYS)))
 
     def to_train_config(self, out_dir: str | Path) -> TrainConfig:
-        return _validated(TrainConfig(out_dir=out_dir, **self._shared(TrainConfig, "out_dir")))
+        return _validated(TrainConfig(out_dir=out_dir, **self._values(_SCHEDULE_KEYS)))
 
 
 def _validated(cfg):
@@ -122,7 +110,7 @@ def parse_text(text: str) -> RunConfig:
 
 def parse_file(path: str | Path) -> RunConfig:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as e:
         raise ConfigError(f"cannot read configuration {path}: {e}") from e
     return parse_text(text)

@@ -5,7 +5,8 @@ batching with boolean masks.
 File formats are deliberately plain: corpora are UTF-8 text files with one
 sentence per line, aligned by line number; a vocabulary file stores one
 token per line where line i holds the token with id i + 4 (the four
-specials are implicit).
+specials are implicit). A leading byte-order mark on an input file is
+ignored; files are written without one.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ SPECIAL_TOKENS = (PAD_TOKEN, UNK_TOKEN, BOS_TOKEN, EOS_TOKEN)
 PAD_ID, UNK_ID, BOS_ID, EOS_ID = 0, 1, 2, 3
 
 PROFILES = ("space_tokenized", "char_tokenized")
+DEFAULT_PROFILE = PROFILES[0]
 
 
 class DataError(Exception):
@@ -73,9 +75,9 @@ def preprocess(line: str, profile: str) -> list[str]:
     """Normalize one raw line and split it into surface tokens.
 
     Both profiles lowercase, map symbols to canonical single-width forms,
-    and drop non-whitespace control characters. "space_tokenized" then
+    and drop non-whitespace control characters. ``space_tokenized`` then
     isolates punctuation characters as their own tokens and splits on
-    whitespace; "char_tokenized" emits every non-whitespace character as a
+    whitespace; ``char_tokenized`` emits every non-whitespace character as a
     token. An empty line yields an empty list.
     """
     if profile not in PROFILES:
@@ -124,7 +126,7 @@ class Vocabulary:
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
         try:
-            text = Path(path).read_text(encoding="utf-8")
+            text = Path(path).read_text(encoding="utf-8-sig")
         except OSError as e:
             raise DataError(f"cannot read vocabulary {path}: {e}") from e
         tokens = text.splitlines()
@@ -169,7 +171,7 @@ def decode(ids: Sequence[int], vocab: Vocabulary) -> list[str]:
 
 def _read_lines(path: str | Path) -> list[str]:
     try:
-        return Path(path).read_text(encoding="utf-8").splitlines()
+        return Path(path).read_text(encoding="utf-8-sig").splitlines()
     except OSError as e:
         raise DataError(f"cannot read {path}: {e}") from e
 
@@ -190,8 +192,8 @@ class ParallelCorpus:
 
     src: list[list[str]]
     tgt: list[list[str]]
-    profile_src: str = "space_tokenized"
-    profile_tgt: str = "space_tokenized"
+    profile_src: str = DEFAULT_PROFILE
+    profile_tgt: str = DEFAULT_PROFILE
 
     def __post_init__(self):
         if len(self.src) != len(self.tgt):
@@ -215,7 +217,7 @@ class ParallelCorpus:
         )
 
     @classmethod
-    def from_token_files(cls, src_path, tgt_path, profile_src="space_tokenized", profile_tgt="space_tokenized") -> "ParallelCorpus":
+    def from_token_files(cls, src_path, tgt_path, profile_src=DEFAULT_PROFILE, profile_tgt=DEFAULT_PROFILE) -> "ParallelCorpus":
         """Load already-tokenized files (tokens separated by spaces)."""
         src_lines, tgt_lines = _read_aligned(src_path, tgt_path)
         return cls(

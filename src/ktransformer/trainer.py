@@ -338,7 +338,10 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
         config = ModelConfig.from_dict(manifest["model_config"])
     except (KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"invalid model configuration in checkpoint: {e}") from e
-    model = KTransformer(config, draw_weights=False)
+    try:
+        model = KTransformer(config, draw_weights=False)
+    except (MemoryError, ValueError) as e:  # numpy refuses arrays beyond the address space or index range
+        raise CheckpointError(f"model configuration in checkpoint is too large to build: {e}") from e
     params = model.parameters()
     state = None
     adam = manifest.get("adam")

@@ -339,6 +339,8 @@ def test_translate_checkpoint_with_bad_vocab_is_data_error(workdir, tokens):
         pytest.param(lambda m: [m], id="manifest-list"),
         pytest.param(lambda m: {**m, "profile_src": "klingon"}, id="profile-unknown"),
         pytest.param(lambda m: {**m, "note": "edited"}, id="manifest-extra-key"),
+        # an embedding table beyond the 128 TiB address space: numpy refuses it at once
+        pytest.param(lambda m: {**m, "model_config": {**m["model_config"], "vocab_src": 10**13}}, id="config-huge-vocab"),
     ],
 )
 def test_translate_malformed_manifest_is_data_error(workdir, capsys, edit):
@@ -506,12 +508,18 @@ def test_evaluate_misaligned_is_data_error(workdir):
     assert main(["evaluate", "--hyp", str(hyp), "--ref", str(ref)]) == EXIT_DATA
 
 
-def test_evaluate_empty_reference_line_is_data_error(workdir):
+def test_evaluate_empty_reference_line_is_data_error(workdir, capsys):
     hyp = workdir / "h.txt"
     ref = workdir / "r.txt"
     hyp.write_text("a\n", encoding="utf-8")
     ref.write_text("\n", encoding="utf-8")
     assert main(["evaluate", "--hyp", str(hyp), "--ref", str(ref)]) == EXIT_DATA
+    # two empty files hold no line to score
+    hyp.write_text("", encoding="utf-8")
+    ref.write_text("", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["evaluate", "--hyp", str(hyp), "--ref", str(ref)]) == EXIT_DATA
+    assert capsys.readouterr().err.startswith("data error:")
 
 
 @pytest.mark.parametrize("n", [0, -1])
@@ -616,18 +624,22 @@ def test_report_source_lengths_change_bucketing(workdir):
     assert all(int(r["pair_count"]) == 0 for r in rows[1:])
 
 
-@pytest.mark.parametrize("damage", ["hyp-short", "src-short", "ref-empty-line"])
+@pytest.mark.parametrize("damage", ["hyp-short", "src-short", "ref-empty-line", "all-empty"])
 def test_report_misaligned_or_empty_reference_is_data_error(workdir, capsys, damage):
     ref_f, a_f, b_f, refs, *_ = _report_inputs(workdir)
     src_f = workdir / "s.txt"
     src_f.write_text("\n".join("z" for _ in refs) + "\n", encoding="utf-8")
-    path = {"hyp-short": b_f, "src-short": src_f, "ref-empty-line": ref_f}[damage]
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if damage == "ref-empty-line":
-        lines[3] = ""
+    if damage == "all-empty":
+        for path in (ref_f, a_f, b_f, src_f):
+            path.write_text("", encoding="utf-8")
     else:
-        lines.pop()
-    path.write_text("".join(l + "\n" for l in lines), encoding="utf-8")
+        path = {"hyp-short": b_f, "src-short": src_f, "ref-empty-line": ref_f}[damage]
+        lines = path.read_text(encoding="utf-8").splitlines()
+        if damage == "ref-empty-line":
+            lines[3] = ""
+        else:
+            lines.pop()
+        path.write_text("".join(l + "\n" for l in lines), encoding="utf-8")
     out = workdir / "rep"
     rc = main([
         "report", "--system", f"near={a_f}", "--system", f"rev={b_f}", "--ref", str(ref_f),

@@ -95,6 +95,23 @@ def test_serialize_round_trip():
     cfg = parse_text("d_model = 32\nlr = 0.0003\ncluster_mode = same_cluster\ntrain_src = data/x.txt")
     again = parse_text(cfg.serialize())
     assert again == cfg
+    # every key at a non-default value
+    run_values = {
+        "val_fraction": "0.2",
+        "profile_src": "char_tokenized",
+        "profile_tgt": "char_tokenized",
+        "train_src": "data/s.tok",
+        "train_tgt": "data/t.tok",
+        "vocab_src": "data/s.vocab",
+        "vocab_tgt": "data/t.vocab",
+        "out_dir": "runs/a",
+    }
+    values = MODEL_VALUES | SCHEDULE_VALUES | run_values
+    assert set(values) == {f.name for f in fields(RunConfig)}
+    full = _set_all(values)
+    for f in fields(RunConfig):
+        assert getattr(full, f.name) != f.default, f.name
+    assert parse_text(full.serialize()) == full != RunConfig()
 
 
 def test_parse_file(tmp_path):
@@ -102,6 +119,9 @@ def test_parse_file(tmp_path):
     p.write_text("max_steps = 7\nseed = 3\n", encoding="utf-8")
     cfg = parse_file(p)
     assert cfg.max_steps == 7 and cfg.seed == 3
+    # a leading byte-order mark is not part of the first key
+    p.write_text("\ufeffmax_steps = 7\nseed = 3\n", encoding="utf-8")
+    assert parse_file(p) == cfg
 
 
 def test_to_model_config_maps_and_validates():

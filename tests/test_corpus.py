@@ -184,6 +184,8 @@ def test_vocab_save_load_round_trip(tmp_path):
     w = Vocabulary.load(path)
     assert w.regular_tokens() == v.regular_tokens()
     assert w.id_of("好") == v.id_of("好")
+    path.write_text("\ufeff" + "".join(t + "\n" for t in lines), encoding="utf-8")
+    assert Vocabulary.load(path).regular_tokens() == v.regular_tokens()  # a leading byte-order mark is ignored
 
 
 def test_vocab_load_rejects_blank_line(tmp_path):
@@ -245,6 +247,9 @@ def test_raw_file_loading(tmp_path):
     assert len(c) == 2
     assert c.src[0] == ["the", "cat", "."]
     assert c.tgt[0] == ["你", "好", "。"]
+    # a leading byte-order mark is not part of the first token
+    src.write_text("\ufeffThe CAT.\nhello there\n", encoding="utf-8")
+    assert ParallelCorpus.from_raw_files(src, tgt, "space_tokenized", "char_tokenized").src == c.src
 
 
 def test_raw_file_line_count_mismatch(tmp_path):

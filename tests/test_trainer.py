@@ -354,6 +354,23 @@ def _edit_adam(m, **changes):
             "init_seed and cluster_seed must be nonnegative",
             id="config-negative-cluster-seed",
         ),
+        # sizes whose arrays exceed the 128 TiB address space, so numpy refuses them without touching a page
+        pytest.param(
+            lambda m: {**m, "model_config": {**m["model_config"], "vocab_src": 10**13}},
+            "too large to build",
+            id="config-huge-vocab",
+        ),
+        pytest.param(
+            lambda m: {**m, "model_config": {**m["model_config"], "max_len": 10**17}},
+            "too large to build",
+            id="config-huge-max-len",
+        ),
+        # past numpy's index range, where it raises ValueError rather than MemoryError
+        pytest.param(
+            lambda m: {**m, "model_config": {**m["model_config"], "vocab_src": 10**19}},
+            "too large to build",
+            id="config-vocab-past-index-range",
+        ),
         pytest.param(lambda m: {**m, "params": [{}] + m["params"][1:]}, r"params\[0\] \('src_embed'\)", id="param-empty"),
         pytest.param(
             lambda m: {**m, "params": [{k: v for k, v in e.items() if k != "offset"} for e in m["params"]]},
