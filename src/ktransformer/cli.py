@@ -140,6 +140,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_translate(args) -> int:
+    if Path(args.output).is_dir():  # os.replace could only fail on it after the whole file was decoded
+        raise DataError(f"output {args.output} is a directory")
     loaded = load_checkpoint(args.checkpoint)
     if loaded.vocab_src is None or loaded.vocab_tgt is None:
         raise CheckpointError("checkpoint carries no vocabularies and cannot translate raw text")

@@ -111,6 +111,6 @@ def parse_text(text: str) -> RunConfig:
 def parse_file(path: str | Path) -> RunConfig:
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read configuration {path}: {e}") from e
     return parse_text(text)

@@ -127,7 +127,7 @@ class Vocabulary:
     def load(cls, path: str | Path) -> "Vocabulary":
         try:
             text = Path(path).read_text(encoding="utf-8-sig")
-        except OSError as e:
+        except (OSError, UnicodeDecodeError) as e:
             raise DataError(f"cannot read vocabulary {path}: {e}") from e
         tokens = text.splitlines()
         if any(not t for t in tokens):
@@ -172,7 +172,7 @@ def decode(ids: Sequence[int], vocab: Vocabulary) -> list[str]:
 def _read_lines(path: str | Path) -> list[str]:
     try:
         return Path(path).read_text(encoding="utf-8-sig").splitlines()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise DataError(f"cannot read {path}: {e}") from e
 
 

@@ -26,13 +26,15 @@ through ``IncrementalDecoder``: one new (batch, d_model) row per step, heads
 in training's (batch, heads, rows, d_k) layout, each attention's per-head
 projections fused into one product, each layer's
 self-attention keys and values cached and the memory's cross-attention keys
-and values projected once. The emitted tokens are those of re-running the
-teacher-forced decoder over the whole prefix for each token, unless two
-logits tie within rounding.
+and values projected once. Decode steps run on plain numpy arrays, with no
+tape, and share the layer-norm and softmax formulas with the taped ops. The
+emitted tokens are those of re-running the teacher-forced decoder over the
+whole prefix for each token, unless two logits tie within rounding.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -40,6 +42,7 @@ import numpy as np
 from .cluster import ClusterBatch, ClusterResult, kmeans_fit_batch
 from .corpus import PAD_ID, BOS_ID, EOS_ID, _pad_block
 from .layers import (
+    NEG_INF,
     FeedForward,
     LayerNormParams,
     MultiHeadAttention,
@@ -49,10 +52,11 @@ from .layers import (
     multi_head_attention,
     positional_encoding,
     residual_layernorm,
-    scaled_dot_attention,
 )
 from .tensor import (
     Tensor,
+    _layernorm_values,
+    _softmax_values,
     add,
     dtype_of,
     gated_heads,
@@ -504,10 +508,10 @@ class KTransformer:
         return out
 
 
-def _fused(weights: list[Tensor]) -> Tensor:
+def _fused(weights: list[Tensor]) -> np.ndarray:
     """Per-head projection weights side by side: one (d_model, len * d_k)
     matrix whose column blocks are the weights in list order."""
-    return Tensor(np.concatenate([w.data for w in weights], axis=1))
+    return np.concatenate([w.data for w in weights], axis=1)
 
 
 class IncrementalDecoder:
@@ -527,11 +531,19 @@ class IncrementalDecoder:
     product, cross-attention its queries with one (d_model, d_model) product
     and the memory's keys and values with one (d_model, 2 * d_model)
     product. The fused weights belong to this decoder, not to the model, so
-    they always match the parameters it was built from. Per-head tensors are
+    they always match the parameters it was built from. Per-head arrays are
     (batch, heads, rows, d_k) stacks, the layout of training's attention.
-    The logits equal the last row of a teacher-forced ``decode_forward``
-    over the same prefix, up to rounding (within 1e-12 relative in f64). No
-    tape is recorded.
+
+    Serving records no tape, so the state and every step are plain numpy
+    arrays: no ``Tensor``, no tape entry and no per-op shape check. Each
+    step runs the numpy operations of the taped ops in their order and
+    takes layer norm and softmax from the same ``tensor`` functions as the
+    tape, so its logits are those of the taped ops on the same inputs, bit
+    for bit. Keys are kept as K^T in the C-ordered layout that
+    ``tensor.transpose`` hands its product, the memory's transposed once
+    and each new self-attention row appended. The logits equal the last row
+    of a teacher-forced ``decode_forward`` over the same prefix up to
+    rounding (within 1e-12 relative in f64).
     """
 
     def __init__(self, model: KTransformer, memory: Tensor, src_mask: np.ndarray):
@@ -541,55 +553,76 @@ class IncrementalDecoder:
         keep = np.asarray(src_mask, dtype=bool)
         if memory.data.ndim != 3 or keep.shape != memory.data.shape[:2]:
             raise ValueError(f"memory {memory.data.shape} and source mask {keep.shape} are not (batch, s, d), (batch, s)")
+        if not keep.any(axis=1).all():
+            raise ValueError("attention row with every key masked out")
+        self.scale = model.dtype.type(1.0 / math.sqrt(self.d_k))
         self.weights = [
             (_fused(layer.self_attn.wq + layer.self_attn.wk + layer.self_attn.wv), _fused(layer.cross_attn.wq))
             for layer in model.decoder
         ]
-        self.memory = [
-            tuple(self._project(memory, _fused(layer.cross_attn.wk + layer.cross_attn.wv))) for layer in model.decoder
-        ]
+        self.memory = []
+        for layer in model.decoder:
+            k, v = self._project(memory.data, _fused(layer.cross_attn.wk + layer.cross_attn.wv))
+            self.memory.append((np.swapaxes(k, -1, -2).copy(), v))
         self.memory_keep = keep[:, None, None, :]
-        empty = np.zeros((keep.shape[0], self.heads, 0, self.d_k), dtype=model.dtype)
-        self.cache = [(empty, empty) for _ in model.decoder]
+        b = keep.shape[0]
+        empty_kt = np.zeros((b, self.heads, self.d_k, 0), dtype=model.dtype)
+        empty_v = np.zeros((b, self.heads, 0, self.d_k), dtype=model.dtype)
+        self.cache = [(empty_kt, empty_v) for _ in model.decoder]
         self.length = 0
 
-    def _project(self, x: Tensor, w: Tensor) -> np.ndarray:
+    def _project(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
         """x @ w for (batch, d_model) rows or a (batch, rows, d_model) batch
         and a fused weight of p (d_model, d_model) blocks, each block cut into
         per-head stacks: (p, batch, heads, rows, d_k)."""
-        b, rows = x.data.shape[0], x.data.shape[1] if x.data.ndim == 3 else 1
-        y = matmul(x, w).data.reshape(b, rows, -1, self.heads, self.d_k)
+        b, rows = x.shape[0], x.shape[1] if x.ndim == 3 else 1
+        y = (x @ w).reshape(b, rows, -1, self.heads, self.d_k)
         return np.ascontiguousarray(y.transpose(2, 0, 3, 1, 4))
 
-    def _attend(self, q: np.ndarray, wo: Tensor, k: np.ndarray, v: np.ndarray, keep=None) -> Tensor:
-        out, _ = scaled_dot_attention(Tensor(q), Tensor(k), Tensor(v), keep=keep)
+    def _attend(self, q: np.ndarray, wo: Tensor, kt: np.ndarray, v: np.ndarray, keep=None) -> np.ndarray:
+        """softmax(q k^T / sqrt(d_k)) v over every head, projected by ``wo``,
+        with k^T given as ``kt``; keys where ``keep`` is False get no weight."""
+        scores = (q @ kt) * self.scale
+        if keep is not None:
+            scores = np.where(keep, scores, scores.dtype.type(NEG_INF))
         # one query row per sentence: (batch, heads, 1, d_k) is already the head concatenation
-        return matmul(Tensor(out.data.reshape(q.shape[0], -1)), wo)
+        return (_softmax_values(scores) @ v).reshape(q.shape[0], -1) @ wo.data
 
     def step(self, ids) -> np.ndarray:
         """Decode one position for every sentence; see the class docstring."""
         m = self.model
         if self.length > m.config.max_len:
             raise ValueError(f"decoder input length {self.length + 1} exceeds {m.config.max_len + 1}")
-        x = add(pick_rows(m.tgt_embed, ids), Tensor(m.pe.data[self.length]))
+        x = m.tgt_embed.data[ids] + m.pe.data[self.length]
         for li, layer in enumerate(m.decoder):
             w_qkv, w_q = self.weights[li]
             q, k, v = self._project(x, w_qkv)
-            k = np.concatenate([self.cache[li][0], k], axis=2)
+            kt = np.concatenate([self.cache[li][0], np.swapaxes(k, -1, -2)], axis=3)
             v = np.concatenate([self.cache[li][1], v], axis=2)
-            self.cache[li] = (k, v)
-            x = residual_layernorm(x, self._attend(q, layer.self_attn.wo, k, v), layer.ln1)
+            self.cache[li] = (kt, v)
+            x = _residual_layernorm(x, self._attend(q, layer.self_attn.wo, kt, v), layer.ln1)
             (q,) = self._project(x, w_q)
-            x = residual_layernorm(x, self._attend(q, layer.cross_attn.wo, *self.memory[li], self.memory_keep), layer.ln2)
-            x = residual_layernorm(x, feed_forward(layer.ffn, x), layer.ln3)
+            x = _residual_layernorm(x, self._attend(q, layer.cross_attn.wo, *self.memory[li], self.memory_keep), layer.ln2)
+            x = _residual_layernorm(x, _feed_forward(layer.ffn, x), layer.ln3)
         self.length += 1
-        return matmul(x, m.out_proj).data
+        return x @ m.out_proj.data
 
     def keep_rows(self, rows: np.ndarray) -> None:
         """Keep only the sentences at ``rows`` (indices into the current batch)."""
         self.cache = [(k[rows], v[rows]) for k, v in self.cache]
         self.memory = [(k[rows], v[rows]) for k, v in self.memory]
         self.memory_keep = self.memory_keep[rows]
+
+
+def _residual_layernorm(x: np.ndarray, sublayer_out: np.ndarray, ln: LayerNormParams) -> np.ndarray:
+    """``layers.residual_layernorm`` on arrays."""
+    return _layernorm_values(x + sublayer_out, ln.gain.data, ln.shift.data)[0]
+
+
+def _feed_forward(ff: FeedForward, x: np.ndarray) -> np.ndarray:
+    """``layers.feed_forward`` on arrays."""
+    h = x @ ff.w1.data + ff.b1.data
+    return np.where(h > 0, h, h.dtype.type(0)) @ ff.w2.data + ff.b2.data
 
 
 def loss(logits: Tensor, target_ids) -> Tensor:

@@ -318,13 +318,19 @@ def relu(x: Tensor) -> Tensor:
     return _emit((x,), np.where(mask, x.data, x.data.dtype.type(0)), rule)
 
 
+def _softmax_values(z: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis of an array, stabilized by row-max
+    subtraction: the values of ``softmax_rows``."""
+    # the ufunc reductions that ndarray.max and ndarray.sum call, minus their Python wrappers
+    e = np.exp(z - np.maximum.reduce(z, axis=-1, keepdims=True))
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
+
+
 def softmax_rows(x: Tensor) -> Tensor:
     """Row-wise softmax of a 2-D tensor or of each matrix of a stack,
     stabilized by row-max subtraction."""
     _check_matrix_or_stack(x, "softmax_rows")
-    z = x.data
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    s = e / e.sum(axis=-1, keepdims=True)
+    s = _softmax_values(x.data)
 
     def rule(g):
         return (s * (g - (g * s).sum(axis=-1, keepdims=True)),)
@@ -416,6 +422,19 @@ def masked_fill(x: Tensor, keep, fill: float) -> Tensor:
     return _emit((x,), np.where(keep, x.data, x.data.dtype.type(fill)), rule)
 
 
+def _layernorm_values(x: np.ndarray, gain: np.ndarray, shift: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The values of ``layernorm_rows`` on arrays: (y, xhat, std), with
+    xhat each row normalized, std each row's sqrt(variance + eps) and
+    y = xhat * gain + shift."""
+    d = x.shape[-1]
+    # add.reduce / d: ndarray.mean's own reduction and division, minus its slow Python wrapper
+    centered = x - np.add.reduce(x, axis=-1, keepdims=True) / d
+    var = np.add.reduce(centered**2, axis=-1, keepdims=True) / d
+    std = np.sqrt(var + x.dtype.type(LAYERNORM_EPS))
+    xhat = centered / std
+    return xhat * gain + shift, xhat, std
+
+
 def layernorm_rows(x: Tensor, gain: Tensor, shift: Tensor) -> Tensor:
     """Normalize each row of an (n, d) tensor or of each sentence of a
     (B, n, d) batch to zero mean / unit population variance (with
@@ -427,11 +446,7 @@ def layernorm_rows(x: Tensor, gain: Tensor, shift: Tensor) -> Tensor:
         raise ValueError(
             f"layernorm shapes: x {x.data.shape}, gain {gain.data.shape}, shift {shift.data.shape}"
         )
-    # sum / d: ndarray.mean's own add.reduce and division, minus its slow Python wrapper
-    mu = x.data.sum(axis=-1, keepdims=True) / d
-    var = ((x.data - mu) ** 2).sum(axis=-1, keepdims=True) / d
-    std = np.sqrt(var + x.data.dtype.type(LAYERNORM_EPS))
-    xhat = (x.data - mu) / std
+    y, xhat, std = _layernorm_values(x.data, gain.data, shift.data)
     gd = gain.data
     fold = _fold if x.data.ndim == 3 else (lambda c: c)
 
@@ -444,7 +459,7 @@ def layernorm_rows(x: Tensor, gain: Tensor, shift: Tensor) -> Tensor:
         ) / std
         return dx, dgain, dshift
 
-    return _emit((x, gain, shift), xhat * gd + shift.data, rule)
+    return _emit((x, gain, shift), y, rule)
 
 
 def masked_cross_entropy(logits: Tensor, targets, active) -> Tensor:

@@ -366,12 +366,18 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
     layout = _layout(params, state)
     if sum(arr.nbytes for _, arr in layout) != len(buffer):
         raise CheckpointError(f"checkpoint buffer length {len(buffer)} does not match its manifest")
+    # every buffer has the model's dtype (AdamState insists on one), so the file is one float array
+    values = np.frombuffer(buffer, dtype=_dtype_code(model.dtype))
+    finite = np.isfinite(values)
+    if not finite.all():
+        # the first non-finite value lies in the first buffer that holds one
+        ends = np.cumsum([arr.size for _, arr in layout])
+        name = layout[int(np.searchsorted(ends, np.argmin(finite), side="right"))][0]
+        raise CheckpointError(f"non-finite values in {name!r}")
     offset = 0
-    for name, arr in layout:
-        arr[...] = np.frombuffer(buffer, dtype=_dtype_code(arr.dtype), count=arr.size, offset=offset).reshape(arr.shape)
-        if not np.isfinite(arr).all():
-            raise CheckpointError(f"non-finite values in {name!r}")
-        offset += arr.nbytes
+    for _, arr in layout:
+        arr[...] = values[offset : offset + arr.size].reshape(arr.shape)
+        offset += arr.size
     return loaded
 
 

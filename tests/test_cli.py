@@ -110,6 +110,15 @@ def test_preprocess_misaligned_is_data_error(workdir):
     assert rc == EXIT_DATA
 
 
+def test_preprocess_non_utf8_input_is_data_error(workdir, capsys):
+    src, tgt = write_parallel(workdir)
+    src.write_bytes(b"w01 \xff w02\n" * 30)
+    rc = main(["preprocess", "--src", str(src), "--tgt", str(tgt), "--out-dir", str(workdir / "p")])
+    assert rc == EXIT_DATA
+    assert f"cannot read {src}" in capsys.readouterr().err
+    assert not (workdir / "p").exists()
+
+
 def test_preprocess_missing_file_is_data_error(workdir):
     rc = main(["preprocess", "--src", "no_such.txt", "--tgt", "also_missing.txt", "--out-dir", str(workdir / "p")])
     assert rc == EXIT_DATA
@@ -175,6 +184,24 @@ def test_train_unknown_config_key_is_usage_error(workdir, capsys):
     rc = main(["train", "--config", str(cfg)])
     assert rc == EXIT_USAGE
     assert "warp_speed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damaged", ["config", "vocab"])
+def test_train_non_utf8_file_is_classified(workdir, capsys, damaged):
+    # an undecodable configuration is a usage error, an undecodable corpus file a data error
+    prep = run_preprocess(workdir)
+    cfg = workdir / "run.cfg"
+    cfg.write_text(train_cfg_lines(prep, workdir / "r"), encoding="utf-8")
+    target = cfg if damaged == "config" else prep / "src.vocab"
+    target.write_bytes(target.read_bytes() + b"\xff\n")
+    capsys.readouterr()
+    rc = main(["train", "--config", str(cfg)])
+    err = capsys.readouterr().err
+    if damaged == "config":
+        assert rc == EXIT_USAGE and f"cannot read configuration {cfg}" in err
+    else:
+        assert rc == EXIT_DATA and f"cannot read vocabulary {target}" in err
+    assert not (workdir / "r").exists()
 
 
 def test_train_missing_required_paths_is_usage_error(workdir):
@@ -435,6 +462,36 @@ def test_translate_unwritable_output_fails_before_decoding(workdir, monkeypatch)
     assert main(argv) == EXIT_DATA
 
 
+def test_translate_output_directory_fails_before_loading(workdir, monkeypatch, capsys):
+    inp = workdir / "in.txt"
+    inp.write_text("w01 w02\n", encoding="utf-8")
+    out = workdir / "out"
+    out.mkdir()
+
+    def never(*args, **kw):
+        raise AssertionError("loaded or decoded before the output was checked")
+
+    monkeypatch.setattr("ktransformer.cli.load_checkpoint", never)
+    monkeypatch.setattr("ktransformer.model.KTransformer.greedy_translate_batch", never)
+    argv = ["translate", "--checkpoint", "any.ckpt", "--input", str(inp), "--output", str(out)]
+    assert main(argv) == EXIT_DATA
+    assert "is a directory" in capsys.readouterr().err
+    assert out.is_dir() and not any(out.iterdir())
+    assert sorted(p.name for p in workdir.iterdir()) == ["in.txt", "out"]
+
+
+def test_translate_non_utf8_input_is_data_error(workdir, capsys):
+    _, run = _trained_run(workdir)
+    inp = workdir / "in.txt"
+    inp.write_bytes(b"w01 \xff\n")
+    capsys.readouterr()
+    argv = ["translate", "--checkpoint", str(run / "final.ckpt"), "--input", str(inp),
+            "--output", str(workdir / "out.txt")]
+    assert main(argv) == EXIT_DATA
+    assert f"cannot read {inp}" in capsys.readouterr().err
+    assert not (workdir / "out.txt").exists()
+
+
 def test_translate_failed_request_keeps_earlier_output(workdir, monkeypatch):
     _, run = _trained_run(workdir)
     inp = workdir / "in.txt"
@@ -506,6 +563,15 @@ def test_evaluate_misaligned_is_data_error(workdir):
     hyp.write_text("a\nb\n", encoding="utf-8")
     ref.write_text("a\n", encoding="utf-8")
     assert main(["evaluate", "--hyp", str(hyp), "--ref", str(ref)]) == EXIT_DATA
+
+
+def test_evaluate_non_utf8_input_is_data_error(workdir, capsys):
+    hyp = workdir / "h.txt"
+    ref = workdir / "r.txt"
+    hyp.write_bytes(b"a \xff\n")
+    ref.write_text("a b\n", encoding="utf-8")
+    assert main(["evaluate", "--hyp", str(hyp), "--ref", str(ref)]) == EXIT_DATA
+    assert f"cannot read {hyp}" in capsys.readouterr().err
 
 
 def test_evaluate_empty_reference_line_is_data_error(workdir, capsys):

@@ -7,6 +7,7 @@ import pytest
 from ktransformer import tensor as T
 from ktransformer.cluster import ClusterResult, kmeans_fit
 from ktransformer.corpus import BOS_ID, EOS_ID, PAD_ID
+from ktransformer.layers import feed_forward, residual_layernorm, scaled_dot_attention
 from ktransformer.model import (
     ClusterBiasParams,
     IncrementalDecoder,
@@ -510,6 +511,114 @@ def test_incremental_logits_match_teacher_forced_last_row():
                 assert np.abs(logits[r] - want).max() <= rtol * np.abs(want).max()
         with pytest.raises(ValueError, match="exceeds"):
             dec.step(np.array([4, 4]))
+
+
+class TensorOpDecoder:
+    """The cached decoder as taped ops: ``IncrementalDecoder`` before it ran
+    on plain arrays, kept as the oracle its steps must match byte for byte."""
+
+    def __init__(self, model, memory, src_mask):
+        cfg = model.config
+        self.model = model
+        self.heads, self.d_k = cfg.heads, cfg.d_model // cfg.heads
+        keep = np.asarray(src_mask, dtype=bool)
+
+        def fused(weights):
+            return Tensor(np.concatenate([w.data for w in weights], axis=1))
+
+        self.weights = [
+            (fused(layer.self_attn.wq + layer.self_attn.wk + layer.self_attn.wv), fused(layer.cross_attn.wq))
+            for layer in model.decoder
+        ]
+        self.memory = [
+            tuple(self._project(memory, fused(layer.cross_attn.wk + layer.cross_attn.wv))) for layer in model.decoder
+        ]
+        self.memory_keep = keep[:, None, None, :]
+        empty = np.zeros((keep.shape[0], self.heads, 0, self.d_k), dtype=model.dtype)
+        self.cache = [(empty, empty) for _ in model.decoder]
+        self.length = 0
+
+    def _project(self, x, w):
+        b, rows = x.data.shape[0], x.data.shape[1] if x.data.ndim == 3 else 1
+        y = T.matmul(x, w).data.reshape(b, rows, -1, self.heads, self.d_k)
+        return np.ascontiguousarray(y.transpose(2, 0, 3, 1, 4))
+
+    def _attend(self, q, wo, k, v, keep=None):
+        out, _ = scaled_dot_attention(Tensor(q), Tensor(k), Tensor(v), keep=keep)
+        return T.matmul(Tensor(out.data.reshape(q.shape[0], -1)), wo)
+
+    def step(self, ids):
+        m = self.model
+        x = T.add(T.pick_rows(m.tgt_embed, ids), Tensor(m.pe.data[self.length]))
+        for li, layer in enumerate(m.decoder):
+            w_qkv, w_q = self.weights[li]
+            q, k, v = self._project(x, w_qkv)
+            k = np.concatenate([self.cache[li][0], k], axis=2)
+            v = np.concatenate([self.cache[li][1], v], axis=2)
+            self.cache[li] = (k, v)
+            x = residual_layernorm(x, self._attend(q, layer.self_attn.wo, k, v), layer.ln1)
+            (q,) = self._project(x, w_q)
+            x = residual_layernorm(x, self._attend(q, layer.cross_attn.wo, *self.memory[li], self.memory_keep), layer.ln2)
+            x = residual_layernorm(x, feed_forward(layer.ffn, x), layer.ln3)
+        self.length += 1
+        return T.matmul(x, m.out_proj).data
+
+    keep_rows = IncrementalDecoder.keep_rows
+
+
+@pytest.mark.parametrize("cluster_mode", ["off", "both"])
+@pytest.mark.parametrize("precision", ["f64", "f32"])
+def test_array_step_is_byte_equal_to_tensor_op_step(cluster_mode, precision):
+    # every step, before and after dropping sentences, over memories with
+    # masked (padded) rows; d_k 6 makes the score scale inexact
+    m = decoding_model(cluster_mode, precision, d_model=12, d_ff=20)
+    max_len = m.config.max_len
+    rng = np.random.default_rng(9)
+    srcs = np.full((4, max_len), PAD_ID, dtype=np.int64)
+    masks = np.arange(max_len) < np.array([[3], [max_len], [1], [6]])
+    srcs[masks] = rng.integers(4, 12, size=int(masks.sum()))
+    memory, _ = m.encode(srcs, masks)
+    got, want = IncrementalDecoder(m, memory, masks), TensorOpDecoder(m, memory, masks)
+    batch = 4
+    for t in range(max_len + 1):
+        if t in (3, 7):
+            rows = np.array([0, 2]) if t == 3 else np.array([1])
+            got.keep_rows(rows)
+            want.keep_rows(rows)
+            batch = rows.size
+        ids = np.full(batch, BOS_ID) if t == 0 else rng.integers(1, 12, size=batch)
+        a, b = got.step(ids), want.step(ids)
+        assert a.dtype == b.dtype == m.dtype
+        assert np.array_equal(a, b), t
+
+
+def test_greedy_outputs_equal_under_tensor_op_decoder(monkeypatch):
+    m = decoding_model(precision="f32")
+    rng = np.random.default_rng(10)
+    srcs = [rng.integers(4, 12, size=n) for n in (4, 1, 9, 2, 10, 6, 3, 7)]
+    got = m.greedy_translate_batch(srcs)
+    monkeypatch.setattr("ktransformer.model.IncrementalDecoder", TensorOpDecoder)
+    assert m.greedy_translate_batch(srcs) == got
+
+
+def test_decode_steps_record_no_tape_entry():
+    m = decoding_model()
+    srcs = np.array([[4, 5, 6], [7, 8, PAD_ID]])
+    masks = srcs != PAD_ID
+    with GradientTape() as tape:
+        memory, _ = m.encode(srcs, masks)
+        taped = len(tape)
+        dec = IncrementalDecoder(m, memory, masks)
+        dec.step(np.array([BOS_ID, BOS_ID]))
+        dec.step(np.array([5, 9]))
+    assert taped > 0 and len(tape) == taped
+
+
+def test_memory_with_no_kept_key_is_value_error():
+    m = decoding_model()
+    memory, _ = m.encode(np.array([[4, 5], [6, 7]]))
+    with pytest.raises(ValueError, match="every key masked out"):
+        IncrementalDecoder(m, memory, np.array([[True, True], [False, False]]))
 
 
 def test_greedy_past_positional_table_is_value_error():

@@ -442,6 +442,20 @@ def test_non_finite_checkpoint_value_is_checkpoint_error(tmp_path, precision, na
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+def test_non_finite_checkpoint_names_first_buffer_in_file_order(tmp_path, precision):
+    # tgt_embed's last value comes before out_proj's first and every moment
+    model = tiny_model(precision=precision)
+    state = AdamState(model.parameters())
+    model.out_proj.data[0, 0] = np.inf
+    state.m["src_embed"][0, 0] = np.nan
+    model.tgt_embed.data[-1, -1] = -np.inf
+    path = tmp_path / "nan.ckpt"
+    save_checkpoint(model, path, state=state)
+    with pytest.raises(CheckpointError, match="non-finite values in 'tgt_embed'"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_without_optimizer_state(tmp_path):
     model = tiny_model()
     path = tmp_path / "bare.ckpt"
