@@ -118,6 +118,8 @@ def cmd_train(args) -> int:
             raise ConfigError(f"configuration key {key!r} must point at a preprocessed corpus file")
     if not 0.0 <= cfg.val_fraction < 1.0:
         raise ConfigError(f"val_fraction must be in [0, 1), got {cfg.val_fraction}")
+    if cfg.val_interval > 0 and cfg.val_fraction == 0.0:
+        raise ConfigError(f"val_interval = {cfg.val_interval} validates on no pairs with val_fraction = 0")
     train_config = cfg.to_train_config(out_dir)  # validated before anything is written
 
     corpus = ParallelCorpus.from_token_files(

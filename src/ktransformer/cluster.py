@@ -78,27 +78,6 @@ def _nearest(pts: np.ndarray, centroids: np.ndarray, slots: np.ndarray) -> np.nd
     return np.where(slots[:, None, :], d2, np.inf).argmin(axis=2)
 
 
-def assign(points, centroids) -> np.ndarray:
-    """Index of the nearest centroid per point (squared Euclidean).
-
-    Distance ties resolve to the lowest centroid index.
-    """
-    pts = _as_points(points)
-    cen = np.asarray(centroids, dtype=pts.dtype)
-    if cen.ndim != 2 or cen.shape[1] != pts.shape[1]:
-        raise ValueError(f"centroid shape {cen.shape} does not match points {pts.shape}")
-    return _nearest(pts[None], cen[None], np.ones((1, cen.shape[0]), dtype=bool))[0]
-
-
-def mse(points, centroids, assignments) -> float:
-    """Mean over all points of the squared distance to the assigned centroid."""
-    pts = _as_points(points)
-    cen = np.asarray(centroids, dtype=pts.dtype)
-    a = np.asarray(assignments, dtype=np.int64)
-    diff = pts - cen[a]
-    return float((diff * diff).sum() / pts.shape[0])
-
-
 def _repair_empty(pts, centroids, a, slots, real) -> None:
     """Reseat every empty cluster on the point currently worst served, in
     place on ``centroids`` and ``a``: one reseat per affected sentence per

@@ -39,7 +39,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .cluster import ClusterBatch, ClusterResult, kmeans_fit_batch
+from .cluster import ClusterBatch, kmeans_fit_batch
 from .corpus import PAD_ID, BOS_ID, EOS_ID, _pad_block
 from .layers import (
     NEG_INF,
@@ -62,7 +62,6 @@ from .tensor import (
     gated_heads,
     masked_cross_entropy,
     matmul,
-    mul,
     pick_rows,
 )
 
@@ -145,73 +144,10 @@ class ClusterBiasParams:
         return out
 
 
-def cluster_bias(
-    result: ClusterResult,
-    embeddings: Tensor,
-    head: int,
-    params: ClusterBiasParams,
-    mode: str,
-    total_len: int | None = None,
-) -> Tensor | None:
-    """Additive attention-score bias for one head, shape (total, total).
-
-    bias[i][j] = gain_same[head] * [assignments i and j equal]
-               + gain_affinity[head] * cos(embeddings[j], centroids[head mod k])
-    with terms included per ``mode``. The indicator and cosine matrices are
-    constants; gradient reaches only the two gate scalars. When ``total_len``
-    exceeds the clustered length (PAD suffix), extra rows and columns are
-    zero; those scores are masked away regardless.
-    """
-    if mode not in CLUSTER_MODES:
-        raise ValueError(f"cluster_mode must be one of {CLUSTER_MODES}, got {mode!r}")
-    if mode == "off":
-        return None
-    if head >= len(params.gain_same):
-        raise ValueError(f"head {head} out of range for {len(params.gain_same)} heads")
-    n = result.assignments.shape[0]
-    total = n if total_len is None else total_len
-    if total < n:
-        raise ValueError(f"total_len {total} shorter than clustered length {n}")
-    dtype = params.gain_same[head].data.dtype
-
-    bias: Tensor | None = None
-    if mode in ("same_cluster", "both"):
-        same = np.zeros((total, total), dtype=dtype)
-        same[:n, :n] = _same_cluster(result)
-        bias = mul(params.gain_same[head], Tensor(same))
-    if mode in ("centroid_affinity", "both"):
-        cos = _centroid_cosines(result, embeddings.data[:n])
-        aff = np.zeros((total, total), dtype=dtype)
-        aff[:n, :n] = cos[head % cos.shape[0]].astype(dtype)
-        term = mul(params.gain_affinity[head], Tensor(aff))
-        bias = term if bias is None else add(bias, term)
-    return bias
-
-
-def _same_cluster(result: ClusterResult) -> np.ndarray:
-    """(n, n) boolean: tokens i and j share a cluster."""
-    a = result.assignments
-    return a[:, None] == a[None, :]
-
-
-def _centroid_cosines(result: ClusterResult, embeddings: np.ndarray) -> np.ndarray:
-    """(k, n) float64 cosines between each centroid and each token's
-    embedding; a zero-norm side gives 0."""
-    emb = np.asarray(embeddings, dtype=np.float64)
-    e_norm = np.sqrt((emb * emb).sum(axis=1))
-    ok = e_norm >= 1e-12
-    cos = np.zeros((result.centroids.shape[0], emb.shape[0]), dtype=np.float64)
-    for j, c in enumerate(result.centroids):
-        centroid = np.asarray(c, dtype=np.float64)
-        c_norm = np.sqrt((centroid * centroid).sum())
-        if c_norm >= 1e-12:
-            cos[j, ok] = (emb[ok] @ centroid) / (e_norm[ok] * c_norm)
-    return cos
-
-
 def _batch_centroid_cosines(fit: ClusterBatch, emb: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """(B, K, n) float64: ``_centroid_cosines`` of every sentence of a padded
-    batch, zero past each sentence's clusters and real rows. A sentence's
+    """(B, K, n) float64: the cosines between each centroid of every
+    sentence of a padded batch and each of its tokens' embeddings, zero past
+    the sentence's clusters and real rows, and for a zero-norm side. A sentence's
     dot products stay one matrix-vector product per centroid over exactly
     its usable rows (real, nonzero norm), as alone: sentences with the same
     usable rows share one stacked product, since a product over padded rows
@@ -328,18 +264,22 @@ class KTransformer:
         embeds = {"src_embed": self.src_embed, "tgt_embed": self.tgt_embed}
         return embeds | _prefixed(**encoder, **decoder) | {"out_proj": self.out_proj}
 
-    def _dropout_draws(self, rng: np.random.Generator | None, lead: tuple[int, ...], lengths: tuple[int, ...]) -> list:
+    def _dropout_draws(
+        self, rng: np.random.Generator | None, lead: tuple[int, ...], lengths: tuple[int, ...], rows: slice
+    ) -> list:
         """U[0, 1) samples from ``rng`` for input dropout at each site of a
         sentence, (length, d_model) each, for every sentence in turn:
         sentence 0's sites in order, then sentence 1's, and so on. That is
         the order in which running the sentences one at a time draws them,
-        so a batch gets the same masks. Nones without an rng or at rate 0."""
+        so a batch gets the same masks. The whole batch of ``lead`` is drawn
+        and the ``rows`` of it kept, so a sentence's masks do not depend on
+        which others run with it. Nones without an rng or at rate 0."""
         if rng is None or self.config.dropout == 0.0:
             return [None] * len(lengths)
         d = self.config.d_model
-        flat = rng.random(lead + (sum(lengths) * d,))
+        flat = rng.random(lead + (sum(lengths) * d,))[rows]
         cuts = np.cumsum([n * d for n in lengths])[:-1]
-        return [u.reshape(lead + (n, d)) for u, n in zip(np.split(flat, cuts, axis=-1), lengths)]
+        return [u.reshape(u.shape[:-1] + (n, d)) for u, n in zip(np.split(flat, cuts, axis=-1), lengths)]
 
     def cluster_bias_tables(self, emb: np.ndarray, mask: np.ndarray):
         """The cluster stage of ``encode`` for a padded batch of raw token
@@ -430,7 +370,7 @@ class KTransformer:
             x = residual_layernorm(x, feed_forward(layer.ffn, x), layer.ln3)
         return matmul(x, self.out_proj)
 
-    def sequence_loss(self, src_ids, tgt_ids, src_mask=None, tgt_mask=None, rng=None) -> Tensor:
+    def sequence_loss(self, src_ids, tgt_ids, src_mask=None, tgt_mask=None, rng=None, rows=slice(None)) -> Tensor:
         """Teacher-forced cross-entropy for one sentence pair (a scalar), or
         for each pair of a padded (B, n) batch (a (B,) vector).
 
@@ -439,12 +379,21 @@ class KTransformer:
         whole batch is one pass. Dropout is on exactly when a numpy
         Generator ``rng`` is given: its masks are drawn from it sentence by
         sentence, encoder input then decoder input, as one sentence at a
-        time would draw them.
+        time would draw them. ``rows``, a slice of a batch's sentences, runs
+        only those (at the batch's padded width), with the masks they get
+        when the whole batch runs.
         """
         sids = _check_ids(src_ids, self.config.vocab_src, "source")
         tids = _check_ids(tgt_ids, self.config.vocab_tgt, "target")
         if sids.shape[:-1] != tids.shape[:-1]:
             raise ValueError(f"source ids {sids.shape} and target ids {tids.shape} hold different sentence counts")
+        draws = sids.shape[:-1]
+        if rows != slice(None):
+            if sids.ndim != 2 or not range(draws[0])[rows]:
+                raise ValueError(f"rows {rows} select no sentence of the batch")
+            sids, tids = sids[rows], tids[rows]
+            src_mask = None if src_mask is None else np.asarray(src_mask)[rows]
+            tgt_mask = None if tgt_mask is None else np.asarray(tgt_mask)[rows]
         tmask = _check_mask(tgt_mask, tids, "target")
         m_real = tmask.sum(axis=-1, keepdims=True)
         lead, width = tids.shape[:-1], tids.shape[-1] + 1
@@ -453,7 +402,7 @@ class KTransformer:
         target = np.concatenate([tids, np.full(lead + (1,), PAD_ID, dtype=np.int64)], axis=-1)
         target = np.where(np.arange(width) == m_real, EOS_ID, target)
 
-        enc_u, dec_u = self._dropout_draws(rng, lead, (sids.shape[-1], width))
+        enc_u, dec_u = self._dropout_draws(rng, draws, (sids.shape[-1], width), rows)
         memory, _ = self.encode(sids, src_mask, enc_u)
         logits = self.decode_forward(dec_in, memory, dec_mask, src_mask, dec_u)
         return loss(logits, target)

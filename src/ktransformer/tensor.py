@@ -11,8 +11,10 @@ weight, a row bias, a layer-norm gain or shift, an embedding table, a gate
 scalar) gets its gradient per sentence, folded last sentence first,
 ((c[B-1] + c[B-2]) + ...) + c[0]: for a parameter that enters each
 sentence's computation once, the order in which a tape that ran the
-sentences one after another accumulates it. Default element type is
-float32; gradient checking runs in float64.
+sentences one after another accumulates it. Under a ``FoldCarry`` the folds
+of a backward sweep hand their totals between two processes that each hold
+part of a batch, so the split batch folds to the same bytes. Default element
+type is float32.
 
 Gradient arrays produced by ``backward`` are shared between tensors and must
 be treated as immutable; replace ``t.grad`` instead of mutating it in place.
@@ -86,6 +88,7 @@ def _wrap(arr: np.ndarray) -> Tensor:
 
 
 _tape_stack: list["GradientTape"] = []
+_carry_stack: list["FoldCarry"] = []
 
 
 class GradientTape:
@@ -117,6 +120,47 @@ class GradientTape:
     def _record(self, inputs: tuple[Tensor, ...], out: Tensor, rule: Callable) -> None:
         self._entries.append((inputs, out, rule))
         self._output_ids.add(id(out))
+
+
+class FoldCarry:
+    """The fold hand-off of a batch split between two processes, active
+    while entered (like ``GradientTape``) for one backward sweep.
+
+    The process that runs the batch's last sentences folds each shared
+    parameter's gradient over them and gives the total out (``give``); the
+    one that runs the first sentences starts its k-th fold from the k-th
+    total (``take``), in the first slot, where the fold over the whole batch
+    holds the running total at that point. Both sweeps fold the same
+    parameters in the same tape order, so every float is the one-process
+    fold's. This base class takes nothing and gives nowhere; subclasses move
+    the totals."""
+
+    def take(self, shape: tuple[int, ...]) -> np.ndarray | None:
+        """The total to start the next fold from (of ``shape``), or None."""
+        return None
+
+    def give(self, total: np.ndarray) -> None:
+        """Hand on the total of the fold just made."""
+
+    def __enter__(self) -> "FoldCarry":
+        _carry_stack.append(self)
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if not _carry_stack or _carry_stack[-1] is not self:
+            raise RuntimeError("fold carry stack corrupted")
+        _carry_stack.pop()
+
+
+def _carried(fold: Callable[[np.ndarray | None], np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
+    """``fold(first)``, with ``first`` the total the active ``FoldCarry``
+    takes (None without one), and its result given on."""
+    if not _carry_stack:
+        return fold(None)
+    carry = _carry_stack[-1]
+    total = fold(carry.take(shape))
+    carry.give(total)
+    return total
 
 
 def _emit(inputs: tuple[Tensor, ...], arr: np.ndarray, rule: Callable) -> Tensor:
@@ -182,8 +226,11 @@ def _swap_last(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -1, -2)
 
 
-def _sum_slices(c: np.ndarray) -> np.ndarray:
-    """((c[0] + c[1]) + c[2]) + ..., whole slices added one after another."""
+def _sum_slices(c: np.ndarray, first: np.ndarray | None = None) -> np.ndarray:
+    """((c[0] + c[1]) + c[2]) + ..., whole slices added one after another,
+    after a running total ``first`` when one is given."""
+    if first is not None:
+        c = np.concatenate([first[None], c])
     # add.reduce over the leading axis does exactly this, except when each
     # slice is one element: numpy then sums the run pairwise, so take the
     # last running total instead
@@ -192,8 +239,9 @@ def _sum_slices(c: np.ndarray) -> np.ndarray:
 
 def _fold(c: np.ndarray) -> np.ndarray:
     """Per-sentence gradients c[b] of a shared parameter, folded in tape
-    order: ((c[B-1] + c[B-2]) + ...) + c[0]."""
-    return _sum_slices(c[::-1])
+    order: ((c[B-1] + c[B-2]) + ...) + c[0], after any carried total."""
+
+    return _carried(lambda first: _sum_slices(c[::-1], first), c.shape[1:])
 
 
 def _scalar_grad(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -213,16 +261,17 @@ def _fold_weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Gradient of a weight that every sentence of a (B, n, k) input ``a``
     multiplies: the per-sentence a[b]^T g[b], folded as ``_fold`` does. The
     products are formed a block of sentences at a time, last sentence first;
-    each later block carries the running total in its first slot."""
+    each block after a carried total or an earlier block carries the running
+    total in its first slot."""
     a, g = a[::-1], g[::-1]
     per = max(1, _FOLD_BLOCK // (a.shape[-1] * g.shape[-1]))
-    total = None
-    for lo in range(0, a.shape[0], per):
-        part = _swap_last(a[lo : lo + per]) @ g[lo : lo + per]
-        if total is not None:
-            part = np.concatenate([total[None], part])
-        total = _sum_slices(part)
-    return total
+
+    def fold(total):
+        for lo in range(0, a.shape[0], per):
+            total = _sum_slices(_swap_last(a[lo : lo + per]) @ g[lo : lo + per], total)
+        return total
+
+    return _carried(fold, (a.shape[-1], g.shape[-1]))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -394,16 +443,23 @@ def pick_rows(table: Tensor, ids) -> Tensor:
     td = table.data
 
     def rule(g):
-        dt = np.zeros_like(td)
         if idx.ndim == 1:
+            dt = np.zeros_like(td)
             np.add.at(dt, idx, g)
             return (dt,)
-        # per-sentence row sums over the rows the batch uses, then the fold
+        # per-sentence row sums over the rows the batch uses, then their
+        # fold: a row the batch does not use keeps what the fold carried in
+        # (+0.0 for each of these sentences would change no bit of it)
         rows, where = np.unique(idx, return_inverse=True)
         per = np.zeros((idx.shape[0], rows.size, td.shape[1]), dtype=td.dtype)
         np.add.at(per, (np.arange(idx.shape[0])[:, None], where.reshape(idx.shape)), g)
-        dt[rows] = _fold(per)
-        return (dt,)
+
+        def fold(first):
+            dt = np.zeros_like(td) if first is None else first.copy()
+            dt[rows] = _sum_slices(per[::-1], None if first is None else first[rows])
+            return dt
+
+        return (_carried(fold, td.shape),)
 
     return _emit((table,), td[idx], rule)
 
@@ -530,34 +586,3 @@ def gated_heads(terms: Sequence[tuple[Sequence[Tensor], np.ndarray]]) -> Tensor:
 
     return _emit(gains, out, rule)
 
-
-def finite_diff_check(f, x: Tensor, step: float = 1e-5) -> float:
-    """Max relative error between tape gradients of ``f`` and central
-    finite differences, elementwise over ``x``.
-
-    ``f`` must map one tensor to a scalar tensor. ``x`` is copied into a
-    float64 leaf; the analytic gradient comes from one taped reverse sweep
-    and the numeric one from two untaped forward evaluations per element.
-    """
-    leaf = Tensor(np.asarray(x.data, dtype=np.float64), requires_grad=True)
-    with GradientTape() as tape:
-        y = f(leaf)
-    if y.data.shape not in ((), (1,)):
-        raise ValueError("finite_diff_check needs a scalar-valued function")
-    backward(y, tape)
-    analytic = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
-    flat = leaf.data.reshape(-1)
-    aflat = analytic.reshape(-1)
-    worst = 0.0
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + step
-        fp = float(f(leaf).data)
-        flat[i] = orig - step
-        fm = float(f(leaf).data)
-        flat[i] = orig
-        numeric = (fp - fm) / (2.0 * step)
-        a = float(aflat[i])
-        err = abs(a - numeric) / (abs(a) + abs(numeric) + 1e-12)
-        worst = max(worst, err)
-    return worst

@@ -2,6 +2,11 @@
 clipping, the teacher-forced loop with periodic greedy-decoding validation,
 and a self-contained binary checkpoint format.
 
+On a host with two or more CPUs, ``train`` splits each large enough batch
+with one forked helper process: the helper runs the batch's last sentences
+and hands its losses and fold totals over through shared memory (see
+``tensor.FoldCarry``), so every float is the one a single process computes.
+
 Checkpoint layout: an 8-byte magic, a little-endian u64 manifest length, the
 JSON manifest that ``_manifest`` describes, then the row-major little-endian
 buffers in ``_layout`` order. A manifest loads only if it equals what
@@ -12,13 +17,17 @@ host endianness.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
 import math
+import mmap
 import os
+import signal
 import struct
 import time
+import traceback
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,7 +36,7 @@ import numpy as np
 from .corpus import PROFILES, ParallelCorpus, Vocabulary, decode, encode, make_batches
 from .metrics import corpus_bleu
 from .model import KTransformer, ModelConfig
-from .tensor import GradientTape, Tensor, backward, scale, sum_all
+from .tensor import FoldCarry, GradientTape, Tensor, backward, scale, sum_all
 
 CHECKPOINT_MAGIC = b"KTRX0001"
 FORMAT_VERSION = 1
@@ -36,6 +45,11 @@ FORMAT_VERSION = 1
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+# A batch is split with the helper process when its padded tokens times
+# d_model reach this; below it the hand-off costs more than half a batch
+# saves (the crossover measured on the benchmark and acceptance recipes).
+SPLIT_MIN_WORK = 16384
 
 
 class DivergenceError(Exception):
@@ -86,8 +100,9 @@ class AdamState:
     m and v (``flat_params``, ``flat_grads``, ``flat_m``, ``flat_v``), laid
     out in ``params`` order, and one scratch buffer of the same size, all in
     the parameters' one dtype. ``m[name]`` and ``v[name]`` are views into the
-    moment buffers; ``adam_step`` makes each parameter's ``data`` its view
-    in ``param_views``."""
+    moment buffers. The parameter buffer is anonymous shared memory, which a
+    forked process shares, and from construction on each parameter's
+    ``data`` is its view in ``param_views``, holding the value it had."""
 
     def __init__(self, params: dict[str, Tensor], lr: float = 3e-4):
         # lr 0 is allowed here and makes the update an identity; TrainConfig
@@ -101,8 +116,8 @@ class AdamState:
         self.lr = lr
         self.t = 0
         bounds = np.cumsum([0] + [p.data.size for p in params.values()]).tolist()
-        flat = [np.zeros(bounds[-1], dtype=dtype) for _ in range(5)]
-        self.flat_params, self.flat_grads, self.flat_m, self.flat_v, self.scratch = flat
+        self.flat_params = _shared_zeros(bounds[-1], np.dtype(dtype))
+        self.flat_grads, self.flat_m, self.flat_v, self.scratch = (np.zeros(bounds[-1], dtype=dtype) for _ in range(4))
 
         def views(flat: np.ndarray) -> dict[str, np.ndarray]:
             return {
@@ -112,6 +127,15 @@ class AdamState:
 
         self.m, self.v = views(self.flat_m), views(self.flat_v)
         self.param_views, self.grad_views = views(self.flat_params), views(self.flat_grads)
+        for name, view in self.param_views.items():
+            view[...] = params[name].data
+            params[name].data = view
+
+
+def _shared_zeros(n: int, dtype: np.dtype) -> np.ndarray:
+    """n zeros of ``dtype`` in anonymous shared memory: a process forked
+    later reads and writes the same bytes."""
+    return np.frombuffer(mmap.mmap(-1, max(1, n * dtype.itemsize)), dtype=dtype, count=n)
 
 
 def clip_global_norm(grads: dict[str, np.ndarray], cap: float) -> float:
@@ -132,10 +156,10 @@ def clip_global_norm(grads: dict[str, np.ndarray], cap: float) -> float:
 def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: AdamState, lr_scale: float = 1.0) -> None:
     """One bias-corrected Adam update, in place on the state's flat buffers.
 
-    Each parameter's ``data`` becomes its view into ``state.flat_params``; a
-    tensor whose ``data`` was rebound since the last step is copied in
-    first. The gradients are copied into ``state.flat_grads`` in one
-    concatenation, cast to the parameters' dtype. Any non-finite gradient
+    Each parameter's ``data`` is its view into ``state.flat_params``; a
+    tensor whose ``data`` was rebound since is copied in first. The
+    gradients are copied into ``state.flat_grads`` in one concatenation,
+    cast to the parameters' dtype. Any non-finite gradient
     rejects the whole step (raises before touching parameters or moments).
     ``lr_scale`` carries the warmup multiplier. Each element goes through
     the per-tensor update's operations in their order, so the floats do not
@@ -411,6 +435,166 @@ def _log_line(row: LogRow) -> str:
     return f"{row.step},{row.loss:.6f},{val},{row.wall_ms:.3f}\n"
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where the platform cannot say or
+    cannot fork."""
+    if not (hasattr(os, "sched_getaffinity") and hasattr(os, "fork")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _split_point(sentences: int, padded_tokens: int, d_model: int) -> int:
+    """How many of a batch's first sentences the main process runs when a
+    helper is there to take the rest: half, leaving the helper the larger
+    half, or all of them for a batch of one or one too small to pay for the
+    hand-off."""
+    split = sentences >= 2 and padded_tokens * d_model >= SPLIT_MIN_WORK
+    return sentences // 2 if split else sentences
+
+
+def _taped_loss(model: KTransformer, batch, seed: int, step: int, rows: slice):
+    """One process's part of a training step: the taped per-sentence losses
+    of the batch's ``rows``, with the step's dropout draws, and their sum from
+    the first row times 1/B for the batch's B sentences. Returns (tape,
+    losses, loss)."""
+    with GradientTape() as tape:
+        losses = model.sequence_loss(
+            batch.src_ids,
+            batch.tgt_ids,
+            src_mask=batch.src_mask,
+            tgt_mask=batch.tgt_mask,
+            rng=np.random.default_rng([seed, step - 1]),
+            rows=rows,
+        )
+        loss = scale(sum_all(losses), 1.0 / len(batch))
+    return tape, losses, loss
+
+
+class _Helper(FoldCarry):
+    """The one helper process of a ``train`` call and both ends of its
+    hand-off.
+
+    The helper is forked once, runs sentences [h, B) of every split batch
+    and reports through anonymous shared memory (the fold totals, then its
+    losses) and one byte per event on a pipe: b"L" once its losses are in
+    place, b"F" per fold total in tape order, b"D" at the end of its step.
+    The main process sends each split step's number down a second pipe,
+    after it has written that step's parameters; the helper waits on a
+    blocking read for it. In the main process this carry takes each fold's
+    starting total from the helper; in the helper it gives them."""
+
+    def __init__(self, params: dict[str, Tensor], batch_size: int, dtype: np.dtype):
+        # one fold per shared parameter, each of its shape
+        self.capacity = sum(p.data.size for p in params.values())
+        self.shared = _shared_zeros(self.capacity + batch_size, dtype)
+        self.go_r, self.go_w = os.pipe()
+        self.events_r, self.events_w = os.pipe()
+        self.pid: int | None = None  # the helper's, in the main process until it is reaped
+        self.in_helper = False
+        self.offset = 0
+        self.pending = b""
+
+    def fork(self, model: KTransformer, steps, seed: int) -> None:
+        """Fork the helper, which serves ``steps`` and exits."""
+        pid = os.fork()
+        if pid == 0:
+            code = 0
+            try:
+                self.in_helper = True
+                os.close(self.go_w)
+                os.close(self.events_r)
+                signal.signal(signal.SIGINT, signal.SIG_IGN)  # the main process reaps it
+                self._serve(model, steps, seed)
+            except BaseException:
+                traceback.print_exc()
+                code = 1
+            finally:
+                os._exit(code)  # never back into the caller's frames
+        self.pid = pid
+        os.close(self.go_r)
+        os.close(self.events_w)
+
+    def close(self) -> None:
+        """Close the main process's ends and reap the helper, wherever it is."""
+        os.close(self.go_w)
+        os.close(self.events_r)
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+
+    # ---- main process side
+
+    def go(self, step: int) -> None:
+        self.offset = 0
+        os.write(self.go_w, struct.pack("<q", step))
+
+    def expect(self, event: bytes) -> None:
+        """Block until the helper's next event, which must be ``event``."""
+        if not self.pending:
+            self.pending = os.read(self.events_r, 4096)
+            if not self.pending:
+                _, status = os.waitpid(self.pid, 0)
+                self.pid = None
+                raise RuntimeError(
+                    f"training helper process exited mid-step with status {os.waitstatus_to_exitcode(status)}"
+                )
+        got, self.pending = self.pending[:1], self.pending[1:]
+        if got != event:
+            raise RuntimeError(f"fold hand-off out of step: expected {event!r} from the helper, got {got!r}")
+
+    def losses(self, n: int) -> np.ndarray:
+        self.expect(b"L")
+        return self.shared[self.capacity : self.capacity + n].copy()
+
+    def take(self, shape: tuple[int, ...]) -> np.ndarray | None:
+        if self.in_helper:
+            return None
+        self.expect(b"F")
+        return self._slot(math.prod(shape)).reshape(shape)
+
+    # ---- helper side
+
+    def _serve(self, model: KTransformer, steps, seed: int) -> None:
+        """The helper's loop: the same steps and batches as the main
+        process's, running the second part of each split batch."""
+        params = model.parameters()
+        for step, batch in steps:
+            b = len(batch)
+            h = _split_point(b, batch.src_ids.size + batch.tgt_ids.size, model.config.d_model)
+            if h == b:
+                continue
+            got = os.read(self.go_r, 8)
+            if not got:
+                return  # the main process is done
+            if struct.unpack("<q", got)[0] != step:
+                raise RuntimeError(f"helper at step {step} was sent step {struct.unpack('<q', got)[0]}")
+            self.offset = 0
+            tape, losses, loss = _taped_loss(model, batch, seed, step, slice(h, b))
+            self.shared[self.capacity : self.capacity + b - h] = losses.data
+            os.write(self.events_w, b"L")
+            if not np.isfinite(losses.data).all():
+                return  # the main process raises DivergenceError and reaps this one
+            with self:
+                backward(loss, tape)
+            for p in params.values():
+                p.grad = None
+            os.write(self.events_w, b"D")
+
+    def give(self, total: np.ndarray) -> None:
+        if not self.in_helper:
+            return
+        self._slot(total.size)[...] = total.reshape(-1)
+        os.write(self.events_w, b"F")
+
+    def _slot(self, size: int) -> np.ndarray:
+        # the next fold total's place in the shared buffer
+        lo, self.offset = self.offset, self.offset + size
+        if self.offset > self.capacity:
+            raise RuntimeError("fold totals exceed the parameters' size")
+        return self.shared[lo : self.offset]
+
+
 def train(
     model: KTransformer,
     corpus: ParallelCorpus,
@@ -422,6 +606,11 @@ def train(
     """Teacher-forced training: seeded epoch shuffling, one taped pass over
     each padded batch, clipping, Adam, periodic validation BLEU. The step's
     loss is the mean of the per-sentence losses, summed from sentence 0.
+    With 2 or more usable CPUs, a batch whose padded tokens times d_model
+    reach ``SPLIT_MIN_WORK`` is split: a helper process, forked once per
+    call and reaped before ``train`` returns or raises, runs its last half
+    and hands over its losses and fold totals, bit for bit; the loss mean,
+    clipping, Adam, validation and checkpoints stay in this process.
 
     Writes train_log.csv (append-only), best.ckpt at each validation
     high-water mark, and final.ckpt once, when ``train`` returns or raises:
@@ -448,23 +637,34 @@ def train(
         make_batches(corpus, vocab_src, vocab_tgt, config.batch_size, max_len=model.config.max_len, seed=config.seed + e)
         for e in itertools.count()
     )
+    steps = zip(range(1, config.max_steps + 1), itertools.chain.from_iterable(epochs))
+    d_model = model.config.d_model
     log: list[LogRow] = []
     best = -1.0
+    helper = None
     try:
+        # fork only if the largest batch would split; the helper walks its own copy of ``steps``
+        widest = config.batch_size * 2 * model.config.max_len
+        if _usable_cpus() >= 2 and _split_point(config.batch_size, widest, d_model) < config.batch_size:
+            helper = _Helper(params, config.batch_size, model.dtype)
+            helper.fork(model, steps, config.seed)
         with open(out_dir / "train_log.csv", "w", encoding="utf-8") as log_file:
             log_file.write("step,loss,val_bleu,wall_ms\n")
-            for step, batch in zip(range(1, config.max_steps + 1), itertools.chain.from_iterable(epochs)):
+            for step, batch in steps:
                 t0 = time.perf_counter()
-                rng = np.random.default_rng([config.seed, step - 1])
-                with GradientTape() as tape:
-                    losses = model.sequence_loss(
-                        batch.src_ids, batch.tgt_ids, src_mask=batch.src_mask, tgt_mask=batch.tgt_mask, rng=rng
-                    )
-                    mean_loss = scale(sum_all(losses), 1.0 / len(batch))
-                loss_val = float(mean_loss.data)
+                b = len(batch)
+                h = b if helper is None else _split_point(b, batch.src_ids.size + batch.tgt_ids.size, d_model)
+                if h < b:
+                    helper.go(step)
+                tape, losses, mean_loss = _taped_loss(model, batch, config.seed, step, slice(0, h))
+                values = losses.data if h == b else np.concatenate([losses.data, helper.losses(b - h)])
+                loss_val = float(scale(sum_all(Tensor(values)), 1.0 / b).data)
                 if not math.isfinite(loss_val):
                     raise DivergenceError(f"non-finite loss at step {step}; last good parameters kept in {final_path}")
-                backward(mean_loss, tape)
+                with helper if h < b else contextlib.nullcontext():
+                    backward(mean_loss, tape)
+                if h < b:
+                    helper.expect(b"D")  # its last read of the parameters is done
                 grads: dict[str, np.ndarray] = {}
                 for name, p in params.items():
                     grads[name] = p.grad if p.grad is not None else np.zeros_like(p.data)
@@ -484,5 +684,7 @@ def train(
                 log_file.write(_log_line(row))
                 log_file.flush()
     finally:
+        if helper is not None:
+            helper.close()
         save_checkpoint(model, final_path, state=state, **meta)
     return log

@@ -16,7 +16,7 @@ from ktransformer import tensor as T
 from ktransformer.cluster import kmeans_fit
 from ktransformer.layers import positional_encoding, scaled_dot_attention
 from ktransformer.metrics import bleu, corpus_bleu, ngram_precision
-from ktransformer.model import ClusterBiasParams, KTransformer, ModelConfig, cluster_bias
+from ktransformer.model import ClusterBiasParams, KTransformer, ModelConfig
 from ktransformer.tensor import Tensor
 from ktransformer.trainer import (
     AdamState,
@@ -27,6 +27,7 @@ from ktransformer.trainer import (
     train,
 )
 
+from oracles import cluster_bias, finite_diff_check
 from synth import (
     kmeans_brute_force,
     make_copy_corpus,
@@ -113,21 +114,21 @@ def test_ac2_gradients_match_finite_differences():
         out, _ = scaled_dot_attention(t, k, v, bias=bias)
         return T.sum_all(T.mul(out, c))
 
-    checks.append(("attention+bias", T.finite_diff_check(att, Tensor(rng.normal(size=(4, 8)), dtype=np.float64))))
+    checks.append(("attention+bias", finite_diff_check(att, Tensor(rng.normal(size=(4, 8)), dtype=np.float64))))
 
     # feed-forward
     from ktransformer.layers import FeedForward, feed_forward
 
     ff = FeedForward(rng, d_model=8, d_ff=8, dtype=np.float64)
     cf = Tensor(rng.normal(size=(3, 8)), dtype=np.float64)
-    checks.append(("ffn", T.finite_diff_check(
+    checks.append(("ffn", finite_diff_check(
         lambda t: T.sum_all(T.mul(feed_forward(ff, t), cf)), Tensor(rng.normal(size=(3, 8)), dtype=np.float64))))
 
     # layernorm
     gain = Tensor(rng.normal(size=8), dtype=np.float64)
     shift = Tensor(rng.normal(size=8), dtype=np.float64)
     cl = Tensor(rng.normal(size=(3, 8)), dtype=np.float64)
-    checks.append(("layernorm", T.finite_diff_check(
+    checks.append(("layernorm", finite_diff_check(
         lambda t: T.sum_all(T.mul(T.layernorm_rows(t, gain, shift), cl)),
         Tensor(rng.normal(size=(3, 8)), dtype=np.float64))))
 
@@ -154,7 +155,7 @@ def test_ac2_gradients_match_finite_differences():
         finally:
             m_off.src_embed = old
 
-    checks.append(("loss/src_embed", T.finite_diff_check(wrt_src, old)))
+    checks.append(("loss/src_embed", finite_diff_check(wrt_src, old)))
 
     # with the bias active, gains and non-embedding weights stay safe to
     # perturb because they never feed the clustering
@@ -171,7 +172,7 @@ def test_ac2_gradients_match_finite_differences():
         finally:
             m_on.tgt_embed = tgt_old
 
-    checks.append(("loss/tgt_embed", T.finite_diff_check(wrt_tgt, tgt_old)))
+    checks.append(("loss/tgt_embed", finite_diff_check(wrt_tgt, tgt_old)))
 
     wqs = m_on.encoder[0].attn.wq
     wq_old = wqs[0]
@@ -183,7 +184,7 @@ def test_ac2_gradients_match_finite_differences():
         finally:
             wqs[0] = wq_old
 
-    checks.append(("loss/enc_wq", T.finite_diff_check(wrt_wq, wq_old)))
+    checks.append(("loss/enc_wq", finite_diff_check(wrt_wq, wq_old)))
 
     gain_old = m_on.encoder[0].bias.gain_same[0]
 
@@ -194,7 +195,7 @@ def test_ac2_gradients_match_finite_differences():
         finally:
             m_on.encoder[0].bias.gain_same[0] = gain_old
 
-    checks.append(("loss/gain_same", T.finite_diff_check(wrt_gain, gain_old)))
+    checks.append(("loss/gain_same", finite_diff_check(wrt_gain, gain_old)))
 
     ln_old = m_on.decoder[0].ln3.gain
 
@@ -205,7 +206,7 @@ def test_ac2_gradients_match_finite_differences():
         finally:
             m_on.decoder[0].ln3.gain = ln_old
 
-    checks.append(("loss/dec_ln_gain", T.finite_diff_check(wrt_ln, ln_old)))
+    checks.append(("loss/dec_ln_gain", finite_diff_check(wrt_ln, ln_old)))
 
     proj_old = m_on.out_proj
 
@@ -216,7 +217,7 @@ def test_ac2_gradients_match_finite_differences():
         finally:
             m_on.out_proj = proj_old
 
-    checks.append(("loss/out_proj", T.finite_diff_check(wrt_proj, proj_old)))
+    checks.append(("loss/out_proj", finite_diff_check(wrt_proj, proj_old)))
 
     elapsed = time.time() - t0
     worst = max(err for _, err in checks)

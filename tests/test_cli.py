@@ -222,6 +222,19 @@ def test_train_val_fraction_out_of_range_is_usage_error(workdir, capsys, fractio
     assert not (workdir / "r").exists()
 
 
+def test_train_validation_without_val_fraction_is_usage_error(workdir, capsys):
+    # validation with no share of the pairs to validate on is a contradiction,
+    # not a reason to take a training pair anyway
+    prep = run_preprocess(workdir)
+    cfg = workdir / "run.cfg"
+    cfg.write_text(train_cfg_lines(prep, workdir / "r"), encoding="utf-8")
+    rc = main(["train", "--config", str(cfg), "--set", "val_fraction=0", "--set", "val_interval=2"])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "val_interval" in err and "val_fraction" in err
+    assert not (workdir / "r").exists()
+
+
 @pytest.mark.parametrize(
     "setting, message",
     [

@@ -17,6 +17,8 @@ from ktransformer.layers import (
 )
 from ktransformer.tensor import GradientTape, Tensor, backward
 
+from oracles import finite_diff_check
+
 
 def t64(values):
     return Tensor(np.asarray(values, dtype=np.float64))
@@ -171,7 +173,7 @@ def test_fd_attention_with_bias():
         out, _ = scaled_dot_attention(t, k, v, bias=bias)
         return T.sum_all(T.mul(out, c))
 
-    assert T.finite_diff_check(f, t64(rng.normal(size=(2, 3)))) < 1e-6
+    assert finite_diff_check(f, t64(rng.normal(size=(2, 3)))) < 1e-6
 
 
 # ------------------------------------------------------------ multi-head
@@ -341,7 +343,7 @@ def test_fd_ffn():
     def f(t):
         return T.sum_all(T.mul(feed_forward(ff, t), feed_forward(ff, t)))
 
-    assert T.finite_diff_check(f, t64(rng.normal(size=(2, 4)))) < 1e-6
+    assert finite_diff_check(f, t64(rng.normal(size=(2, 4)))) < 1e-6
 
 
 # ------------------------------------------------------------ layernorm

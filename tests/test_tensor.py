@@ -7,6 +7,8 @@ import pytest
 from ktransformer import tensor as T
 from ktransformer.tensor import GradientTape, Tensor, backward
 
+from oracles import finite_diff_check
+
 
 def slow_matmul(a, b):
     """Triple-loop reference product, no numpy dot involved."""
@@ -245,7 +247,7 @@ def test_grad_transpose_and_scale():
 
 
 def fd(f, x, tol=1e-6):
-    err = T.finite_diff_check(f, Tensor(np.asarray(x, dtype=np.float64)))
+    err = finite_diff_check(f, Tensor(np.asarray(x, dtype=np.float64)))
     assert err < tol, f"finite-diff relative error {err}"
 
 
@@ -439,7 +441,7 @@ def test_shared_node_fans_in():
         h = T.scale(t, 2.0)
         return T.add(T.sum_all(h), T.sum_all(T.mul(h, h)))
 
-    err = T.finite_diff_check(f, Tensor(rng.normal(size=(2, 3)), dtype=np.float64))
+    err = finite_diff_check(f, Tensor(rng.normal(size=(2, 3)), dtype=np.float64))
     assert err < 1e-6
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -892,3 +893,139 @@ def test_step_tape_length_does_not_grow_with_batch_size(tmp_path):
     finally:
         trainer.backward = real_backward
     assert len(lengths) == 2 and lengths[0] == lengths[1]
+
+
+# ------------------------------------------------------------ two processes
+
+
+def _split_task():
+    """A mixed-length task with padding and validation pairs, in which the
+    pair ("rare rare w1") holds the only "rare" of either side."""
+    from ktransformer.corpus import ParallelCorpus
+
+    rng = np.random.default_rng(11)
+    words = [f"w{i}" for i in range(9)]
+    src = [[words[int(rng.integers(0, 9))] for _ in range(int(rng.integers(1, 8)))] for _ in range(20)]
+    src.append(["rare", "rare", "w1"])
+    tgt = [s[::-1] + s[:1] for s in src]
+    corpus = ParallelCorpus(src, tgt, "space_tokenized", "space_tokenized")
+    val = ParallelCorpus(src[:4], tgt[:4], "space_tokenized", "space_tokenized")
+    vs, vt = vocab_pair(corpus)
+    return corpus, val, vs, vt
+
+
+def _force_split(monkeypatch, cpus):
+    from ktransformer import trainer
+
+    monkeypatch.setattr(trainer, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(trainer, "SPLIT_MIN_WORK", 0)  # split even these tiny batches
+
+
+def _recorded_forks(monkeypatch) -> list[int]:
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def _reaped(pid: int) -> bool:
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("mode", ["off", "both"])
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+@pytest.mark.parametrize("batch_size", [1, 3, 16])
+def test_split_batches_train_bit_for_bit_as_one_process(tmp_path, monkeypatch, batch_size, precision, mode):
+    # the helper's fold totals and losses, handed over, give the one-process
+    # losses and checkpoints byte for byte, with dropout on and non-zero gates
+    import hashlib
+
+    from ktransformer import trainer
+    from ktransformer.corpus import make_batches
+
+    corpus, val, vs, vt = _split_task()
+    steps = 8
+    if batch_size > 1:
+        # some step's "rare" row is used by the helper's sentences only
+        batches = [b for e in range(steps) for b in make_batches(corpus, vs, vt, batch_size, max_len=12, seed=e)]
+        rare = vs.id_of("rare")
+        assert any(
+            rare in b.src_ids[len(b) // 2 :] and rare not in b.src_ids[: len(b) // 2] for b in batches[:steps]
+        )
+    runs, forks = [], _recorded_forks(monkeypatch)
+    for cpus in (1, 2):
+        _force_split(monkeypatch, cpus)
+        model = tiny_model(vocab_src=len(vs), vocab_tgt=len(vt), layers_enc=2, dropout=0.1, clusters_k=3,
+                           cluster_mode=mode, precision=precision)
+        for i, p in enumerate(p for name, p in model.parameters().items() if ".bias." in name):
+            p.data = np.asarray(0.25 * (i + 1) * (-1) ** i, dtype=p.data.dtype)
+        out = tmp_path / f"cpus{cpus}"
+        cfg = TrainConfig(out_dir=str(out), lr=3e-3, max_steps=steps, batch_size=batch_size, seed=0, val_interval=3)
+        rows = train(model, corpus, vs, vt, cfg, val_corpus=val)
+        digests = [hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ("final.ckpt", "best.ckpt")]
+        runs.append((np.array([r.loss for r in rows]).tobytes(), digests))
+    assert len(forks) == (0 if batch_size == 1 else 1)  # a batch of one never splits
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("ending", ["return", "divergence", "failed_save"])
+def test_helper_is_reaped_however_train_ends(tmp_path, monkeypatch, ending):
+    from ktransformer import trainer
+
+    corpus, vs, vt, model, kw = _quick_setup(steps=6)
+    _force_split(monkeypatch, 2)
+    forks = _recorded_forks(monkeypatch)
+    if ending == "return":
+        train(model, corpus, vs, vt, TrainConfig(out_dir=str(tmp_path), **kw))
+    elif ending == "divergence":
+        kw.update(lr=1e200, grad_clip=0.0)
+        with pytest.raises(DivergenceError), np.errstate(all="ignore"):
+            train(model, corpus, vs, vt, TrainConfig(out_dir=str(tmp_path), **kw))
+    else:
+        def failing_save(*args, **kwargs):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(trainer, "save_checkpoint", failing_save)
+        with pytest.raises(OSError, match="no space"):
+            train(model, corpus, vs, vt, TrainConfig(out_dir=str(tmp_path), **kw))
+    assert len(forks) == 1 and _reaped(forks[0])
+
+
+def test_helper_dying_mid_step_fails_train_promptly(tmp_path, monkeypatch):
+    # the helper exits with status 7 in its third backward sweep: train raises
+    # naming that status instead of waiting for the fold totals, and final.ckpt
+    # holds the two completed steps
+    from ktransformer import trainer
+
+    corpus, vs, vt, model, kw = _quick_setup(steps=6)
+    _force_split(monkeypatch, 2)
+    forks = _recorded_forks(monkeypatch)
+    main, sweeps = os.getpid(), []
+    real_backward = trainer.backward
+
+    def dying_backward(loss, tape):
+        if os.getpid() != main:
+            sweeps.append(loss)
+            if len(sweeps) == 3:
+                os._exit(7)
+        return real_backward(loss, tape)
+
+    monkeypatch.setattr(trainer, "backward", dying_backward)
+    with pytest.raises(RuntimeError, match="exited mid-step with status 7"):
+        train(model, corpus, vs, vt, TrainConfig(out_dir=str(tmp_path), **kw))
+    assert len(forks) == 1 and _reaped(forks[0])
+    loaded = load_checkpoint(tmp_path / "final.ckpt")
+    assert loaded.state.t == 2
+    for name, p in loaded.model.parameters().items():
+        assert p.data.tobytes() == model.parameters()[name].data.tobytes()
