@@ -5,7 +5,7 @@ silently dropping them, and tracks the mean squared distance after every
 iteration so callers can assert the descent property. ``kmeans_fit_batch``
 runs one Lloyd loop for a whole padded batch of sentences, each with its own
 length, cluster count and stopping round, and gives every sentence the floats
-that fitting it alone gives; ``kmeans_fit`` is its batch of one.
+that fitting it alone gives.
 """
 
 from __future__ import annotations
@@ -190,11 +190,3 @@ def kmeans_fit_batch(points, lengths, k: int, seed: int = 0) -> ClusterBatch:
         mse_history=[history[i, :t].tolist() for i, t in enumerate(iterations.tolist())],
     )
 
-
-def kmeans_fit(points, k: int, seed: int = 0) -> ClusterResult:
-    """Fit k centroids to one (n, d) point set: ``kmeans_fit_batch`` over a
-    batch of one, with k in [1, n]."""
-    pts = _as_points(points)
-    if not 1 <= k <= pts.shape[0]:
-        raise ValueError(f"k must be in [1, {pts.shape[0]}], got {k}")
-    return kmeans_fit_batch(pts[None], [pts.shape[0]], k, seed)[0]

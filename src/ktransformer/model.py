@@ -149,23 +149,17 @@ def _batch_centroid_cosines(fit: ClusterBatch, emb: np.ndarray, mask: np.ndarray
     sentence of a padded batch and each of its tokens' embeddings, zero past
     the sentence's clusters and real rows, and for a zero-norm side. A sentence's
     dot products stay one matrix-vector product per centroid over exactly
-    its usable rows (real, nonzero norm), as alone: sentences with the same
-    usable rows share one stacked product, since a product over padded rows
-    can round differently."""
+    its usable rows (real, nonzero norm), as alone, since a product over
+    padded rows can round differently."""
     emb = np.asarray(emb, dtype=np.float64)
     cen = fit.centroids.astype(np.float64)
     e_norm = np.sqrt((emb * emb).sum(axis=2))
     c_norm = np.sqrt((cen * cen).sum(axis=2))
     usable = (e_norm >= 1e-12) & mask
     dots = np.zeros(cen.shape[:2] + emb.shape[1:2], dtype=np.float64)
-    packed = np.packbits(usable, axis=1)  # one byte string per sentence's usable rows
-    _, group = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(), return_inverse=True)
-    slots = np.arange(cen.shape[1])[:, None]
-    for g in range(group.max() + 1):
-        rows = np.flatnonzero(group == g)
-        cols = np.flatnonzero(usable[rows[0]])
-        alone = np.ascontiguousarray(emb[rows][:, cols])
-        dots[rows[:, None, None], slots, cols] = (alone[:, None] @ cen[rows][:, :, :, None])[..., 0]
+    for b, rows in enumerate(usable):
+        cols = np.flatnonzero(rows)
+        dots[b][:, cols] = (emb[b, cols] @ cen[b][:, :, None])[..., 0]
     keep = (c_norm >= 1e-12)[:, :, None] & usable[:, None, :]  # a slot past k[b] holds a zero centroid
     cos = np.zeros(dots.shape, dtype=np.float64)
     return np.divide(dots, e_norm[:, None, :] * c_norm[:, :, None], out=cos, where=keep)

@@ -11,10 +11,10 @@ weight, a row bias, a layer-norm gain or shift, an embedding table, a gate
 scalar) gets its gradient per sentence, folded last sentence first,
 ((c[B-1] + c[B-2]) + ...) + c[0]: for a parameter that enters each
 sentence's computation once, the order in which a tape that ran the
-sentences one after another accumulates it. Under a ``FoldCarry`` the folds
-of a backward sweep hand their totals between two processes that each hold
-part of a batch, so the split batch folds to the same bytes. Default element
-type is float32.
+sentences one after another accumulates it. A tape may hold a carry, which
+hands the fold totals of its backward sweep between two processes that each
+hold part of a batch, so the split batch folds to the same bytes. Default
+element type is float32.
 
 Gradient arrays produced by ``backward`` are shared between tensors and must
 be treated as immutable; replace ``t.grad`` instead of mutating it in place.
@@ -88,7 +88,7 @@ def _wrap(arr: np.ndarray) -> Tensor:
 
 
 _tape_stack: list["GradientTape"] = []
-_carry_stack: list["FoldCarry"] = []
+_sweep_carry = None  # the carry of the tape ``backward`` is replaying, if any
 
 
 class GradientTape:
@@ -98,12 +98,24 @@ class GradientTape:
     inputs require gradients are recorded. ``backward`` then replays the
     record in reverse, visiting each entry exactly once. A tape can be
     replayed only once.
+
+    ``carry``, when given, hands the sweep's folds over between the two
+    processes of a batch split in two, through ``take(shape)`` and
+    ``give(total)``. The process that runs the batch's last sentences folds
+    each shared parameter's gradient over them and gives the total on; the
+    one that runs the first sentences takes it and starts its fold from it
+    in the first slot, where the fold over the whole batch holds the running
+    total at that point. Both sweeps fold the same parameters in the same
+    tape order, so every float is the one-process fold's. A side's ``take``
+    returns None when it has nothing to start from, and its ``give`` may
+    drop the total.
     """
 
-    def __init__(self):
+    def __init__(self, carry=None):
         self._entries: list[tuple[tuple[Tensor, ...], Tensor, Callable]] = []
         self._output_ids: set[int] = set()
         self._used = False
+        self.carry = carry
 
     def __enter__(self) -> "GradientTape":
         _tape_stack.append(self)
@@ -122,42 +134,12 @@ class GradientTape:
         self._output_ids.add(id(out))
 
 
-class FoldCarry:
-    """The fold hand-off of a batch split between two processes, active
-    while entered (like ``GradientTape``) for one backward sweep.
-
-    The process that runs the batch's last sentences folds each shared
-    parameter's gradient over them and gives the total out (``give``); the
-    one that runs the first sentences starts its k-th fold from the k-th
-    total (``take``), in the first slot, where the fold over the whole batch
-    holds the running total at that point. Both sweeps fold the same
-    parameters in the same tape order, so every float is the one-process
-    fold's. This base class takes nothing and gives nowhere; subclasses move
-    the totals."""
-
-    def take(self, shape: tuple[int, ...]) -> np.ndarray | None:
-        """The total to start the next fold from (of ``shape``), or None."""
-        return None
-
-    def give(self, total: np.ndarray) -> None:
-        """Hand on the total of the fold just made."""
-
-    def __enter__(self) -> "FoldCarry":
-        _carry_stack.append(self)
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if not _carry_stack or _carry_stack[-1] is not self:
-            raise RuntimeError("fold carry stack corrupted")
-        _carry_stack.pop()
-
-
 def _carried(fold: Callable[[np.ndarray | None], np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
-    """``fold(first)``, with ``first`` the total the active ``FoldCarry``
-    takes (None without one), and its result given on."""
-    if not _carry_stack:
+    """``fold(first)``, with ``first`` the total that the carry of the sweep
+    in progress takes (None without one), and its result given on."""
+    carry = _sweep_carry
+    if carry is None:
         return fold(None)
-    carry = _carry_stack[-1]
     total = fold(carry.take(shape))
     carry.give(total)
     return total
@@ -177,7 +159,8 @@ def backward(loss: Tensor, tape: GradientTape) -> None:
 
     Every requires_grad leaf reachable from the loss ends up with ``grad``
     set (accumulated on top of any existing value). Parameter values are not
-    touched. A second replay of the same tape raises.
+    touched. A second replay of the same tape raises. The tape's carry, if
+    it has one, hands over the folds of this sweep and of no other.
     """
     if loss.data.shape not in ((), (1,)):
         raise ValueError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -187,21 +170,26 @@ def backward(loss: Tensor, tape: GradientTape) -> None:
         raise RuntimeError("tape already replayed; record a fresh tape")
     tape._used = True
 
+    global _sweep_carry
+    _sweep_carry = tape.carry
     flowing: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     output_ids = tape._output_ids
-    for inputs, out, rule in reversed(tape._entries):
-        g = flowing.pop(id(out), None)
-        if g is None:
-            continue  # branch not contributing to this loss
-        for t, gt in zip(inputs, rule(g)):
-            if gt is None or not t.requires_grad:
-                continue
-            key = id(t)
-            if key in output_ids:
-                acc = flowing.get(key)
-                flowing[key] = gt if acc is None else acc + gt
-            else:
-                t.grad = gt if t.grad is None else t.grad + gt
+    try:
+        for inputs, out, rule in reversed(tape._entries):
+            g = flowing.pop(id(out), None)
+            if g is None:
+                continue  # branch not contributing to this loss
+            for t, gt in zip(inputs, rule(g)):
+                if gt is None or not t.requires_grad:
+                    continue
+                key = id(t)
+                if key in output_ids:
+                    acc = flowing.get(key)
+                    flowing[key] = gt if acc is None else acc + gt
+                else:
+                    t.grad = gt if t.grad is None else t.grad + gt
+    finally:
+        _sweep_carry = None
 
 
 def _check_same_dtype(*tensors: Tensor) -> np.dtype:

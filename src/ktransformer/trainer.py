@@ -4,8 +4,11 @@ and a self-contained binary checkpoint format.
 
 On a host with two or more CPUs, ``train`` splits each large enough batch
 with one forked helper process: the helper runs the batch's last sentences
-and hands its losses and fold totals over through shared memory (see
-``tensor.FoldCarry``), so every float is the one a single process computes.
+and hands its fold totals and losses over through shared memory, with two
+kinds of event per step: ``F`` for each fold total of its backward sweep and
+``D`` once the sweep is over and its losses are in place. Both processes'
+tapes hold the helper as their carry (see ``tensor.GradientTape``), so every
+float is the one a single process computes.
 
 Checkpoint layout: an 8-byte magic, a little-endian u64 manifest length, the
 JSON manifest that ``_manifest`` describes, then the row-major little-endian
@@ -17,7 +20,6 @@ host endianness.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import itertools
 import json
@@ -36,7 +38,7 @@ import numpy as np
 from .corpus import PROFILES, ParallelCorpus, Vocabulary, decode, encode, make_batches
 from .metrics import corpus_bleu
 from .model import KTransformer, ModelConfig
-from .tensor import FoldCarry, GradientTape, Tensor, backward, scale, sum_all
+from .tensor import GradientTape, Tensor, backward, scale, sum_all
 
 CHECKPOINT_MAGIC = b"KTRX0001"
 FORMAT_VERSION = 1
@@ -452,12 +454,12 @@ def _split_point(sentences: int, padded_tokens: int, d_model: int) -> int:
     return sentences // 2 if split else sentences
 
 
-def _taped_loss(model: KTransformer, batch, seed: int, step: int, rows: slice):
+def _taped_loss(model: KTransformer, batch, seed: int, step: int, rows: slice, carry=None):
     """One process's part of a training step: the taped per-sentence losses
     of the batch's ``rows``, with the step's dropout draws, and their sum from
-    the first row times 1/B for the batch's B sentences. Returns (tape,
-    losses, loss)."""
-    with GradientTape() as tape:
+    the first row times 1/B for the batch's B sentences, on a tape that holds
+    ``carry``. Returns (tape, losses, loss)."""
+    with GradientTape(carry) as tape:
         losses = model.sequence_loss(
             batch.src_ids,
             batch.tgt_ids,
@@ -470,18 +472,19 @@ def _taped_loss(model: KTransformer, batch, seed: int, step: int, rows: slice):
     return tape, losses, loss
 
 
-class _Helper(FoldCarry):
+class _Helper:
     """The one helper process of a ``train`` call and both ends of its
-    hand-off.
+    hand-off: the carry that both processes' tapes hold for a split step.
 
     The helper is forked once, runs sentences [h, B) of every split batch
-    and reports through anonymous shared memory (the fold totals, then its
-    losses) and one byte per event on a pipe: b"L" once its losses are in
-    place, b"F" per fold total in tape order, b"D" at the end of its step.
-    The main process sends each split step's number down a second pipe,
-    after it has written that step's parameters; the helper waits on a
-    blocking read for it. In the main process this carry takes each fold's
-    starting total from the helper; in the helper it gives them."""
+    and reports through anonymous shared memory and one byte per event on a
+    pipe, two kinds of event per step: b"F" once each fold total of its
+    backward sweep is in place, in tape order, and b"D" once its sweep is
+    over and its losses are in place. The main process sends each split
+    step's number down a second pipe, after it has written that step's
+    parameters; the helper waits on a blocking read for it. In the main
+    process this carry takes each fold's starting total from the helper
+    (``take``); in the helper it gives them (``give``)."""
 
     def __init__(self, params: dict[str, Tensor], batch_size: int, dtype: np.dtype):
         # one fold per shared parameter, each of its shape
@@ -544,7 +547,8 @@ class _Helper(FoldCarry):
             raise RuntimeError(f"fold hand-off out of step: expected {event!r} from the helper, got {got!r}")
 
     def losses(self, n: int) -> np.ndarray:
-        self.expect(b"L")
+        """Block until the helper's step is done, then its ``n`` losses."""
+        self.expect(b"D")
         return self.shared[self.capacity : self.capacity + n].copy()
 
     def take(self, shape: tuple[int, ...]) -> np.ndarray | None:
@@ -570,15 +574,11 @@ class _Helper(FoldCarry):
             if struct.unpack("<q", got)[0] != step:
                 raise RuntimeError(f"helper at step {step} was sent step {struct.unpack('<q', got)[0]}")
             self.offset = 0
-            tape, losses, loss = _taped_loss(model, batch, seed, step, slice(h, b))
-            self.shared[self.capacity : self.capacity + b - h] = losses.data
-            os.write(self.events_w, b"L")
-            if not np.isfinite(losses.data).all():
-                return  # the main process raises DivergenceError and reaps this one
-            with self:
-                backward(loss, tape)
+            tape, losses, loss = _taped_loss(model, batch, seed, step, slice(h, b), self)
+            backward(loss, tape)
             for p in params.values():
                 p.grad = None
+            self.shared[self.capacity : self.capacity + b - h] = losses.data
             os.write(self.events_w, b"D")
 
     def give(self, total: np.ndarray) -> None:
@@ -609,8 +609,9 @@ def train(
     With 2 or more usable CPUs, a batch whose padded tokens times d_model
     reach ``SPLIT_MIN_WORK`` is split: a helper process, forked once per
     call and reaped before ``train`` returns or raises, runs its last half
-    and hands over its losses and fold totals, bit for bit; the loss mean,
-    clipping, Adam, validation and checkpoints stay in this process.
+    and hands over its fold totals and losses, bit for bit; the loss mean,
+    its finiteness check, clipping, Adam, validation and checkpoints stay in
+    this process.
 
     Writes train_log.csv (append-only), best.ckpt at each validation
     high-water mark, and final.ckpt once, when ``train`` returns or raises:
@@ -654,17 +655,16 @@ def train(
                 t0 = time.perf_counter()
                 b = len(batch)
                 h = b if helper is None else _split_point(b, batch.src_ids.size + batch.tgt_ids.size, d_model)
-                if h < b:
-                    helper.go(step)
-                tape, losses, mean_loss = _taped_loss(model, batch, config.seed, step, slice(0, h))
-                values = losses.data if h == b else np.concatenate([losses.data, helper.losses(b - h)])
+                carry = helper if h < b else None
+                if carry is not None:
+                    carry.go(step)
+                tape, losses, mean_loss = _taped_loss(model, batch, config.seed, step, slice(0, h), carry)
+                backward(mean_loss, tape)
+                # the helper's losses come with D, after its last read of the parameters
+                values = losses.data if carry is None else np.concatenate([losses.data, carry.losses(b - h)])
                 loss_val = float(scale(sum_all(Tensor(values)), 1.0 / b).data)
                 if not math.isfinite(loss_val):
                     raise DivergenceError(f"non-finite loss at step {step}; last good parameters kept in {final_path}")
-                with helper if h < b else contextlib.nullcontext():
-                    backward(mean_loss, tape)
-                if h < b:
-                    helper.expect(b"D")  # its last read of the parameters is done
                 grads: dict[str, np.ndarray] = {}
                 for name, p in params.items():
                     grads[name] = p.grad if p.grad is not None else np.zeros_like(p.data)

@@ -6,14 +6,16 @@ path calls them.
 - ``cluster_bias``, ``_same_cluster``, ``_centroid_cosines``: the cluster
   bias of one head of one sentence, which ``KTransformer.cluster_bias_tables``
   builds for a whole batch and every head at once;
-- ``assign`` and ``mse``: nearest-centroid assignment and the k-means cost.
+- ``assign`` and ``mse``: nearest-centroid assignment and the k-means cost;
+- ``kmeans_fit``: the fit of one point set, a batch of one through
+  ``kmeans_fit_batch``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ktransformer.cluster import ClusterResult, _as_points, _nearest
+from ktransformer.cluster import ClusterResult, _as_points, _nearest, kmeans_fit_batch
 from ktransformer.model import CLUSTER_MODES, ClusterBiasParams
 from ktransformer.tensor import GradientTape, Tensor, add, backward, mul
 
@@ -133,3 +135,12 @@ def mse(points, centroids, assignments) -> float:
     a = np.asarray(assignments, dtype=np.int64)
     diff = pts - cen[a]
     return float((diff * diff).sum() / pts.shape[0])
+
+
+def kmeans_fit(points, k: int, seed: int = 0) -> ClusterResult:
+    """Fit k centroids to one (n, d) point set: ``kmeans_fit_batch`` over a
+    batch of one, with k in [1, n]."""
+    pts = _as_points(points)
+    if not 1 <= k <= pts.shape[0]:
+        raise ValueError(f"k must be in [1, {pts.shape[0]}], got {k}")
+    return kmeans_fit_batch(pts[None], [pts.shape[0]], k, seed)[0]

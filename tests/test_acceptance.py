@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from ktransformer import tensor as T
-from ktransformer.cluster import kmeans_fit
 from ktransformer.layers import positional_encoding, scaled_dot_attention
 from ktransformer.metrics import bleu, corpus_bleu, ngram_precision
 from ktransformer.model import ClusterBiasParams, KTransformer, ModelConfig
@@ -27,7 +26,7 @@ from ktransformer.trainer import (
     train,
 )
 
-from oracles import cluster_bias, finite_diff_check
+from oracles import cluster_bias, finite_diff_check, kmeans_fit
 from synth import (
     kmeans_brute_force,
     make_copy_corpus,

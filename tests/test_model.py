@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ktransformer import tensor as T
-from ktransformer.cluster import ClusterResult, kmeans_fit
+from ktransformer.cluster import ClusterResult
 from ktransformer.corpus import BOS_ID, EOS_ID, PAD_ID
 from ktransformer.layers import feed_forward, residual_layernorm, scaled_dot_attention
 from ktransformer.model import (
@@ -17,7 +17,7 @@ from ktransformer.model import (
 )
 from ktransformer.tensor import GradientTape, Tensor, backward
 
-from oracles import cluster_bias, finite_diff_check
+from oracles import cluster_bias, finite_diff_check, kmeans_fit
 
 
 def small_config(**kw):
@@ -152,12 +152,13 @@ def test_bias_gradient_reaches_only_gains():
 @pytest.mark.parametrize("precision", ["f64", "f32"])
 def test_one_bias_op_equals_single_head_cluster_bias(mode, precision):
     # the encoder's one bias op per layer, for a padded batch, against
-    # cluster_bias head by head and sentence by sentence
+    # cluster_bias head by head and sentence by sentence; then for a batch
+    # whose sentences all share one length, as a translate chunk often does
     m = KTransformer(small_config(cluster_mode=mode, clusters_k=3, heads=4, precision=precision))
     layer = m.encoder[0]
     for i, g in enumerate(layer.bias.gain_same + layer.bias.gain_affinity):
         g.data = np.asarray(0.4 * (i + 1) * (-1) ** i, dtype=g.data.dtype)
-    ids = np.array([
+    mixed = np.array([
         [4, 5, 6, 7, 8, 9],
         [9, 4, PAD_ID, PAD_ID, PAD_ID, PAD_ID],
         [10, 11, 10, 4, PAD_ID, PAD_ID],
@@ -165,22 +166,31 @@ def test_one_bias_op_equals_single_head_cluster_bias(mode, precision):
         [8, PAD_ID, PAD_ID, PAD_ID, PAD_ID, PAD_ID],  # one token, one cluster
         [6, 7, 8, 9, PAD_ID, PAD_ID],  # a third row of length 4
     ])
-    mask = ids != PAD_ID
+    one_length = np.array([
+        [4, 5, 6, 7, 8, 9],
+        [9, 8, 7, 6, 5, 4],
+        [10, 11, 10, 4, 11, 5],  # zero-norm keys
+        [5, 5, 5, 5, 7, 5],  # two distinct points for 3 clusters: a repair
+        [8, 8, 8, 8, 8, 8],  # one distinct point
+        [6, 7, 8, 9, 10, 4],
+    ])
     m.src_embed.data[11] = 0.0  # a zero-norm key, whose cosines are 0, in the third row
-    emb = m.src_embed.data[ids]
-    results, *tables = m.cluster_bias_tables(emb, mask)
-    gains = (layer.bias.gain_same, layer.bias.gain_affinity)
-    terms = [(g, t) for g, t in zip(gains, tables) if t is not None]
-    bias = T.gated_heads(terms).data
-    assert bias.shape == (6, 4, 6, 6)
-    for b, n_real in enumerate(mask.sum(axis=1)):
-        real = Tensor(emb[b, :n_real].copy())
-        alone = kmeans_fit(real.data, min(3, int(n_real)), seed=m.config.cluster_seed)
-        assert results[b].assignments.tobytes() == alone.assignments.tobytes()
-        assert results[b].centroids.tobytes() == alone.centroids.tobytes()
-        for h in range(4):
-            want = cluster_bias(alone, real, h, layer.bias, mode, total_len=6).data
-            assert bias[b, h].tobytes() == want.tobytes()
+    for ids in (mixed, one_length):
+        mask = ids != PAD_ID
+        emb = m.src_embed.data[ids]
+        results, *tables = m.cluster_bias_tables(emb, mask)
+        gains = (layer.bias.gain_same, layer.bias.gain_affinity)
+        terms = [(g, t) for g, t in zip(gains, tables) if t is not None]
+        bias = T.gated_heads(terms).data
+        assert bias.shape == (6, 4, 6, 6)
+        for b, n_real in enumerate(mask.sum(axis=1)):
+            real = Tensor(emb[b, :n_real].copy())
+            alone = kmeans_fit(real.data, min(3, int(n_real)), seed=m.config.cluster_seed)
+            assert results[b].assignments.tobytes() == alone.assignments.tobytes()
+            assert results[b].centroids.tobytes() == alone.centroids.tobytes()
+            for h in range(4):
+                want = cluster_bias(alone, real, h, layer.bias, mode, total_len=6).data
+                assert bias[b, h].tobytes() == want.tobytes()
 
 
 def test_bias_head_out_of_range():

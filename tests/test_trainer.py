@@ -1029,3 +1029,33 @@ def test_helper_dying_mid_step_fails_train_promptly(tmp_path, monkeypatch):
     assert loaded.state.t == 2
     for name, p in loaded.model.parameters().items():
         assert p.data.tobytes() == model.parameters()[name].data.tobytes()
+
+
+def test_non_finite_loss_in_helpers_half_raises_before_the_update(tmp_path, monkeypatch):
+    # only the helper's losses of step 3 are NaN: train raises naming step 3
+    # once the helper's step is done, the helper is reaped, and final.ckpt
+    # holds Adam step 2 with the parameters of a one-process two-step run
+    from ktransformer import trainer
+
+    corpus, vs, vt, model, kw = _quick_setup(steps=6)
+    _, _, _, reference, _ = _quick_setup()
+    train(reference, corpus, vs, vt, TrainConfig(out_dir=str(tmp_path / "two"), **{**kw, "max_steps": 2}))
+    _force_split(monkeypatch, 2)
+    forks = _recorded_forks(monkeypatch)
+    main = os.getpid()
+    real_taped_loss = trainer._taped_loss
+
+    def poisoned(model, batch, seed, step, rows, carry=None):
+        tape, losses, loss = real_taped_loss(model, batch, seed, step, rows, carry)
+        if os.getpid() != main and step == 3:
+            losses.data = np.full_like(losses.data, np.nan)
+        return tape, losses, loss
+
+    monkeypatch.setattr(trainer, "_taped_loss", poisoned)
+    with pytest.raises(DivergenceError, match="at step 3;"):
+        train(model, corpus, vs, vt, TrainConfig(out_dir=str(tmp_path / "split"), **kw))
+    assert len(forks) == 1 and _reaped(forks[0])
+    loaded = load_checkpoint(tmp_path / "split" / "final.ckpt")
+    assert loaded.state.t == 2
+    for name, p in loaded.model.parameters().items():
+        assert p.data.tobytes() == reference.parameters()[name].data.tobytes()
