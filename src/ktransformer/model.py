@@ -27,7 +27,7 @@ in training's (batch, heads, rows, d_k) layout, each attention's per-head
 projections fused into one product, each layer's
 self-attention keys and values cached and the memory's cross-attention keys
 and values projected once. Decode steps run on plain numpy arrays, with no
-tape, and share the layer-norm and softmax formulas with the taped ops. The
+tape, and call the array functions of training's taped blocks. The
 emitted tokens are those of re-running the teacher-forced decoder over the
 whole prefix for each token, unless two logits tie within rounding.
 """
@@ -42,10 +42,12 @@ import numpy as np
 from .cluster import ClusterBatch, kmeans_fit_batch
 from .corpus import PAD_ID, BOS_ID, EOS_ID, _pad_block
 from .layers import (
-    NEG_INF,
     FeedForward,
     LayerNormParams,
     MultiHeadAttention,
+    _attend,
+    _feed_forward,
+    _residual_layernorm,
     dropout,
     feed_forward,
     glorot,
@@ -55,8 +57,6 @@ from .layers import (
 )
 from .tensor import (
     Tensor,
-    _layernorm_values,
-    _softmax_values,
     add,
     dtype_of,
     gated_heads,
@@ -478,12 +478,12 @@ class IncrementalDecoder:
     (batch, heads, rows, d_k) stacks, the layout of training's attention.
 
     Serving records no tape, so the state and every step are plain numpy
-    arrays: no ``Tensor``, no tape entry and no per-op shape check. Each
-    step runs the numpy operations of the taped ops in their order and
-    takes layer norm and softmax from the same ``tensor`` functions as the
-    tape, so its logits are those of the taped ops on the same inputs, bit
-    for bit. Keys are kept as K^T in the C-ordered layout that
-    ``tensor.transpose`` hands its product, the memory's transposed once
+    arrays: no ``Tensor``, no tape entry and no per-op shape check. After
+    the fused projections each step calls the array functions of training's
+    taped blocks (``layers._attend``, ``_residual_layernorm`` and
+    ``_feed_forward``), so its logits are those of taped ops on the same
+    projections, bit for bit. Keys are kept as K^T in the C-ordered layout
+    of the attention block's transposed copy, the memory's transposed once
     and each new self-attention row appended. The logits equal the last row
     of a teacher-forced ``decode_forward`` over the same prefix up to
     rounding (within 1e-12 relative in f64).
@@ -523,13 +523,11 @@ class IncrementalDecoder:
         return np.ascontiguousarray(y.transpose(2, 0, 3, 1, 4))
 
     def _attend(self, q: np.ndarray, wo: Tensor, kt: np.ndarray, v: np.ndarray, keep=None) -> np.ndarray:
-        """softmax(q k^T / sqrt(d_k)) v over every head, projected by ``wo``,
-        with k^T given as ``kt``; keys where ``keep`` is False get no weight."""
-        scores = (q @ kt) * self.scale
-        if keep is not None:
-            scores = np.where(keep, scores, scores.dtype.type(NEG_INF))
-        # one query row per sentence: (batch, heads, 1, d_k) is already the head concatenation
-        return (_softmax_values(scores) @ v).reshape(q.shape[0], -1) @ wo.data
+        """Attention of the new rows over keys k^T given as ``kt``, projected
+        by ``wo``; keys where ``keep`` is False get no weight."""
+        _, out = _attend(q, kt, v, self.scale, keep=keep)
+        # one query row per sentence: (batch, 1, d_model) is (batch, d_model)
+        return out.reshape(q.shape[0], -1) @ wo.data
 
     def step(self, ids) -> np.ndarray:
         """Decode one position for every sentence; see the class docstring."""
@@ -543,10 +541,11 @@ class IncrementalDecoder:
             kt = np.concatenate([self.cache[li][0], np.swapaxes(k, -1, -2)], axis=3)
             v = np.concatenate([self.cache[li][1], v], axis=2)
             self.cache[li] = (kt, v)
-            x = _residual_layernorm(x, self._attend(q, layer.self_attn.wo, kt, v), layer.ln1)
+            x = _residual_layernorm(x, self._attend(q, layer.self_attn.wo, kt, v), layer.ln1)[0]
             (q,) = self._project(x, w_q)
-            x = _residual_layernorm(x, self._attend(q, layer.cross_attn.wo, *self.memory[li], self.memory_keep), layer.ln2)
-            x = _residual_layernorm(x, _feed_forward(layer.ffn, x), layer.ln3)
+            ca = self._attend(q, layer.cross_attn.wo, *self.memory[li], self.memory_keep)
+            x = _residual_layernorm(x, ca, layer.ln2)[0]
+            x = _residual_layernorm(x, _feed_forward(layer.ffn, x)[0], layer.ln3)[0]
         self.length += 1
         return x @ m.out_proj.data
 
@@ -555,17 +554,6 @@ class IncrementalDecoder:
         self.cache = [(k[rows], v[rows]) for k, v in self.cache]
         self.memory = [(k[rows], v[rows]) for k, v in self.memory]
         self.memory_keep = self.memory_keep[rows]
-
-
-def _residual_layernorm(x: np.ndarray, sublayer_out: np.ndarray, ln: LayerNormParams) -> np.ndarray:
-    """``layers.residual_layernorm`` on arrays."""
-    return _layernorm_values(x + sublayer_out, ln.gain.data, ln.shift.data)[0]
-
-
-def _feed_forward(ff: FeedForward, x: np.ndarray) -> np.ndarray:
-    """``layers.feed_forward`` on arrays."""
-    h = x @ ff.w1.data + ff.b1.data
-    return np.where(h > 0, h, h.dtype.type(0)) @ ff.w2.data + ff.b2.data
 
 
 def loss(logits: Tensor, target_ids) -> Tensor:

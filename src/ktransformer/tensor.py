@@ -2,11 +2,13 @@
 
 Everything is numpy-backed and deliberately small: scalars, vectors and
 (rows, cols) matrices, optionally behind leading axes (a batch of sentences,
-then heads), and just enough operations for an encoder-decoder attention
-stack and its training loop (matmul, row softmax, layer norm, embedding
-lookup, masked cross-entropy). Every op computes each sentence and head of
-a stack with the same numpy/BLAS call as a lone 2-D matrix, so batching never
-changes a float. A parameter shared by the sentences of a batch (a 2-D
+then heads), and just enough operations for an encoder-decoder training loop
+(matmul, add, mul, scale, embedding lookup, masked cross-entropy, gated
+cluster-bias heads). The attention, feed-forward and residual layer-norm
+blocks are ops too, one tape entry each, defined in ``layers`` on the
+helpers here. Every op computes each sentence and head of a stack with the
+same numpy/BLAS call as a lone 2-D matrix, so batching never changes a
+float. A parameter shared by the sentences of a batch (a 2-D
 weight, a row bias, a layer-norm gain or shift, an embedding table, a gate
 scalar) gets its gradient per sentence, folded last sentence first,
 ((c[B-1] + c[B-2]) + ...) + c[0]: for a parameter that enters each
@@ -16,12 +18,21 @@ hands the fold totals of its backward sweep between two processes that each
 hold part of a batch, so the split batch folds to the same bytes. Default
 element type is float32.
 
+An op's rule maps the gradient of its output to one gradient per input,
+which ``backward`` adds onto the input's running gradient. A block op, one
+tape entry that stands for a chain of simpler ops, can hand an input several
+terms instead: ``Terms`` around a stack of arrays in the order in which the
+chain's own rules would hand them over, behind a free first slot for the
+running gradient. ``backward`` adds them one after another, so the input's
+gradient holds the bytes it holds when the chain is taped op by op.
+
 Gradient arrays produced by ``backward`` are shared between tensors and must
 be treated as immutable; replace ``t.grad`` instead of mutating it in place.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,7 +43,7 @@ _SUPPORTED = (F32, F64)
 
 _PRECISIONS = {"f32": F32, "f64": F64}
 
-# added to each row's variance in ``layernorm_rows``
+# added to each row's variance in ``_layernorm_values``
 LAYERNORM_EPS = 1e-5
 
 
@@ -145,6 +156,24 @@ def _carried(fold: Callable[[np.ndarray | None], np.ndarray], shape: tuple[int, 
     return total
 
 
+class Terms:
+    """Gradient terms of one input of a block op, ``slots[1:]``, in the
+    order in which ``backward`` adds them onto that input's gradient;
+    ``slots[0]`` is free for the running gradient they are added to."""
+
+    __slots__ = ("slots",)
+
+    def __init__(self, slots: np.ndarray):
+        self.slots = slots
+
+    def onto(self, acc: np.ndarray | None) -> np.ndarray:
+        """((acc + t[0]) + t[1]) + ..., or the terms' own sum without acc."""
+        if acc is None:
+            return _sum_slices(self.slots[1:])
+        self.slots[0] = acc
+        return _sum_slices(self.slots)
+
+
 def _emit(inputs: tuple[Tensor, ...], arr: np.ndarray, rule: Callable) -> Tensor:
     """Wrap an op result, recording it on the active tape when grads flow."""
     out = _wrap(arr)
@@ -158,9 +187,10 @@ def backward(loss: Tensor, tape: GradientTape) -> None:
     """Replay the tape in reverse from a scalar loss, populating leaf grads.
 
     Every requires_grad leaf reachable from the loss ends up with ``grad``
-    set (accumulated on top of any existing value). Parameter values are not
-    touched. A second replay of the same tape raises. The tape's carry, if
-    it has one, hands over the folds of this sweep and of no other.
+    set (accumulated on top of any existing value); an input's ``Terms``
+    are added one after another. Parameter values are not touched. A
+    second replay of the same tape raises. The tape's carry, if it has one,
+    hands over the folds of this sweep and of no other.
     """
     if loss.data.shape not in ((), (1,)):
         raise ValueError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -183,11 +213,16 @@ def backward(loss: Tensor, tape: GradientTape) -> None:
                 if gt is None or not t.requires_grad:
                     continue
                 key = id(t)
-                if key in output_ids:
-                    acc = flowing.get(key)
-                    flowing[key] = gt if acc is None else acc + gt
+                inner = key in output_ids
+                acc = flowing.get(key) if inner else t.grad
+                if type(gt) is Terms:
+                    acc = gt.onto(acc)
                 else:
-                    t.grad = gt if t.grad is None else t.grad + gt
+                    acc = gt if acc is None else acc + gt
+                if inner:
+                    flowing[key] = acc
+                else:
+                    t.grad = acc
     finally:
         _sweep_carry = None
 
@@ -202,11 +237,6 @@ def _check_same_dtype(*tensors: Tensor) -> np.dtype:
 
 def _is_scalar_shape(shape: tuple[int, ...]) -> bool:
     return shape == () or shape == (1,)
-
-
-def _check_matrix_or_stack(x: Tensor, op: str) -> None:
-    if x.data.ndim < 2:
-        raise ValueError(f"{op} expects a matrix or a stack of matrices, got shape {x.data.shape}")
 
 
 def _swap_last(a: np.ndarray) -> np.ndarray:
@@ -245,21 +275,45 @@ def _scalar_grad(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 _FOLD_BLOCK = 1 << 22
 
 
-def _fold_weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Gradient of a weight that every sentence of a (B, n, k) input ``a``
-    multiplies: the per-sentence a[b]^T g[b], folded as ``_fold`` does. The
-    products are formed a block of sentences at a time, last sentence first;
-    each block after a carried total or an earlier block carries the running
-    total in its first slot."""
-    a, g = a[::-1], g[::-1]
-    per = max(1, _FOLD_BLOCK // (a.shape[-1] * g.shape[-1]))
+def _fold_weight_grads(a: np.ndarray, gs: Sequence[np.ndarray]) -> np.ndarray:
+    """Gradients of weights that every sentence of a (B, n, k) input ``a``
+    multiplies, one per (B, ..., n, m) stack of ``gs``: the per-sentence
+    a[b]^T g[b] of every g (broadcast over g's middle axes), folded as
+    ``_fold`` does, (len(gs), ..., k, m). Each g is one batched matmul. The
+    products are formed a block of sentences at a time, last sentence
+    first, each block behind a first slot that holds the running total: a
+    carried total or an earlier block's. For one (n, k) sentence ``a`` and
+    (..., n, m) stacks the products are the gradients; nothing is folded."""
+    if a.ndim == 2:
+        out = np.empty((len(gs), *gs[0].shape[:-2], a.shape[-1], gs[0].shape[-1]), dtype=a.dtype)
+        for j, g in enumerate(gs):
+            np.matmul(_swap_last(a), g, out=out[j])
+        return out
+    a, gs = a[::-1], [g[::-1] for g in gs]
+    mid, k, m = gs[0].shape[1:-2], a.shape[-1], gs[0].shape[-1]
+    at = _swap_last(a)[(slice(None),) + (None,) * len(mid)]
+    shape = (len(gs), *mid, k, m)
+    per = max(1, _FOLD_BLOCK // math.prod(shape))
 
     def fold(total):
         for lo in range(0, a.shape[0], per):
-            total = _sum_slices(_swap_last(a[lo : lo + per]) @ g[lo : lo + per], total)
+            hi = min(lo + per, a.shape[0])
+            slots = np.empty((1 + hi - lo, *shape), dtype=a.dtype)
+            for j, g in enumerate(gs):
+                np.matmul(at[lo:hi], g[lo:hi], out=slots[1:, j])
+            if total is None:
+                total = _sum_slices(slots[1:])
+            else:
+                slots[0] = total
+                total = _sum_slices(slots)
         return total
 
-    return _carried(fold, (a.shape[-1], g.shape[-1]))
+    return _carried(fold, shape)
+
+
+def _fold_weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``_fold_weight_grads`` of one ``g``: (k, m)."""
+    return _fold_weight_grads(a, [g])[0]
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -283,16 +337,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return g @ _swap_last(bd), gb
 
     return _emit((a, b), ad @ bd, rule)
-
-
-def transpose(x: Tensor) -> Tensor:
-    """Matrix transpose, applied to each matrix of a stack."""
-    _check_matrix_or_stack(x, "transpose")
-
-    def rule(g):
-        return (_swap_last(g),)
-
-    return _emit((x,), _swap_last(x.data).copy(), rule)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -345,34 +389,12 @@ def scale(x: Tensor, c: float) -> Tensor:
     return _emit((x,), x.data * cv, rule)
 
 
-def relu(x: Tensor) -> Tensor:
-    """Elementwise max(0, x); the subgradient at exactly 0 is 0."""
-    mask = x.data > 0
-
-    def rule(g):
-        return (g * mask,)
-
-    return _emit((x,), np.where(mask, x.data, x.data.dtype.type(0)), rule)
-
-
 def _softmax_values(z: np.ndarray) -> np.ndarray:
     """Softmax over the last axis of an array, stabilized by row-max
-    subtraction: the values of ``softmax_rows``."""
+    subtraction."""
     # the ufunc reductions that ndarray.max and ndarray.sum call, minus their Python wrappers
     e = np.exp(z - np.maximum.reduce(z, axis=-1, keepdims=True))
     return e / np.add.reduce(e, axis=-1, keepdims=True)
-
-
-def softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise softmax of a 2-D tensor or of each matrix of a stack,
-    stabilized by row-max subtraction."""
-    _check_matrix_or_stack(x, "softmax_rows")
-    s = _softmax_values(x.data)
-
-    def rule(g):
-        return (s * (g - (g * s).sum(axis=-1, keepdims=True)),)
-
-    return _emit((x,), s, rule)
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -386,38 +408,6 @@ def sum_all(x: Tensor) -> Tensor:
         return (np.broadcast_to(g, shape).copy(),)
 
     return _emit((x,), np.cumsum(flat)[-1] if flat.size else flat.dtype.type(0), rule)
-
-
-def stack(parts: Sequence[Tensor]) -> Tensor:
-    """Stack equal-shape matrices, or equal-shape batches of matrices, along
-    a new (head) axis in front of the last two: (..., rows, cols) parts give
-    (..., len(parts), rows, cols)."""
-    parts = tuple(parts)
-    if not parts:
-        raise ValueError("stack needs at least one tensor")
-    _check_same_dtype(*parts)
-    shape = parts[0].data.shape
-    if len(shape) < 2 or any(p.data.shape != shape for p in parts):
-        raise ValueError(f"stack needs equal shapes of 2 or more axes, got {[p.data.shape for p in parts]}")
-
-    def rule(g):
-        return tuple(g[..., i, :, :] for i in range(len(parts)))
-
-    return _emit(parts, np.stack([p.data for p in parts], axis=-3), rule)
-
-
-def merge_heads(x: Tensor) -> Tensor:
-    """(..., heads, rows, width) -> (..., rows, heads * width): head i's
-    matrix becomes columns i*width .. (i+1)*width - 1, as in the multi-head
-    concatenation."""
-    if x.data.ndim < 3:
-        raise ValueError(f"merge_heads expects a (..., heads, rows, width) stack, got shape {x.data.shape}")
-    *lead, h, n, w = x.data.shape
-
-    def rule(g):
-        return (np.ascontiguousarray(np.swapaxes(g.reshape(*lead, n, h, w), -3, -2)),)
-
-    return _emit((x,), np.swapaxes(x.data, -3, -2).reshape(*lead, n, h * w), rule)
 
 
 def pick_rows(table: Tensor, ids) -> Tensor:
@@ -452,24 +442,11 @@ def pick_rows(table: Tensor, ids) -> Tensor:
     return _emit((table,), td[idx], rule)
 
 
-def masked_fill(x: Tensor, keep, fill: float) -> Tensor:
-    """Replace positions where ``keep`` is False with ``fill`` (e.g. -inf).
-    ``keep`` may be any shape that broadcasts to the tensor's, e.g. one
-    (rows, cols) mask for every head of a stack."""
-    keep = np.asarray(keep, dtype=bool)
-    if keep.ndim > x.data.ndim or np.broadcast_shapes(keep.shape, x.data.shape) != x.data.shape:
-        raise ValueError(f"mask shape {keep.shape} does not match tensor shape {x.data.shape}")
-
-    def rule(g):
-        return (g * keep,)
-
-    return _emit((x,), np.where(keep, x.data, x.data.dtype.type(fill)), rule)
-
-
 def _layernorm_values(x: np.ndarray, gain: np.ndarray, shift: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The values of ``layernorm_rows`` on arrays: (y, xhat, std), with
-    xhat each row normalized, std each row's sqrt(variance + eps) and
-    y = xhat * gain + shift."""
+    """Layer norm of each row of an array: (y, xhat, std), with xhat each
+    row normalized to zero mean and unit population variance (with
+    ``LAYERNORM_EPS`` added to the variance), std each row's
+    sqrt(variance + eps) and y = xhat * gain + shift."""
     d = x.shape[-1]
     # add.reduce / d: ndarray.mean's own reduction and division, minus its slow Python wrapper
     centered = x - np.add.reduce(x, axis=-1, keepdims=True) / d
@@ -477,33 +454,6 @@ def _layernorm_values(x: np.ndarray, gain: np.ndarray, shift: np.ndarray) -> tup
     std = np.sqrt(var + x.dtype.type(LAYERNORM_EPS))
     xhat = centered / std
     return xhat * gain + shift, xhat, std
-
-
-def layernorm_rows(x: Tensor, gain: Tensor, shift: Tensor) -> Tensor:
-    """Normalize each row of an (n, d) tensor or of each sentence of a
-    (B, n, d) batch to zero mean / unit population variance (with
-    ``LAYERNORM_EPS`` added to the variance), then apply an affine gain and
-    shift over the feature axis."""
-    _check_same_dtype(x, gain, shift)
-    d = x.data.shape[-1]
-    if x.data.ndim not in (2, 3) or gain.data.shape != (d,) or shift.data.shape != (d,):
-        raise ValueError(
-            f"layernorm shapes: x {x.data.shape}, gain {gain.data.shape}, shift {shift.data.shape}"
-        )
-    y, xhat, std = _layernorm_values(x.data, gain.data, shift.data)
-    gd = gain.data
-    fold = _fold if x.data.ndim == 3 else (lambda c: c)
-
-    def rule(g):
-        dgain = fold((g * xhat).sum(axis=-2))
-        dshift = fold(g.sum(axis=-2))
-        dxhat = g * gd
-        dx = (
-            dxhat - dxhat.sum(axis=-1, keepdims=True) / d - xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True) / d)
-        ) / std
-        return dx, dgain, dshift
-
-    return _emit((x, gain, shift), y, rule)
 
 
 def masked_cross_entropy(logits: Tensor, targets, active) -> Tensor:

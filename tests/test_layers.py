@@ -13,11 +13,20 @@ from ktransformer.layers import (
     multi_head_attention,
     positional_encoding,
     residual_layernorm,
-    scaled_dot_attention,
 )
 from ktransformer.tensor import GradientTape, Tensor, backward
 
-from oracles import finite_diff_check
+from oracles import (
+    feed_forward_per_op,
+    finite_diff_check,
+    masked_fill,
+    multi_head_attention_per_op,
+    residual_layernorm_per_op,
+    scaled_dot_attention,
+    softmax_rows,
+    stack,
+    transpose,
+)
 
 
 def t64(values):
@@ -202,7 +211,7 @@ def test_multi_head_bias_count_checked():
     mha = MultiHeadAttention(rng, d_model=8, n_heads=2, dtype=np.float64)
     x = t64(rng.normal(size=(3, 8)))
     with pytest.raises(ValueError):
-        multi_head_attention(x, x, mha, bias=T.stack([t64(np.zeros((3, 3)))]))
+        multi_head_attention(x, x, mha, bias=stack([t64(np.zeros((3, 3)))]))
 
 
 def test_multi_head_zero_biases_match_absent():
@@ -251,12 +260,12 @@ def _per_head_reference(q_in, kv_in, mha, per_head_bias, keep):
     outs = []
     for i in range(mha.n_heads):
         q, k, v = T.matmul(q_in, mha.wq[i]), T.matmul(kv_in, mha.wk[i]), T.matmul(kv_in, mha.wv[i])
-        scores = T.scale(T.matmul(q, T.transpose(k)), 1.0 / np.sqrt(mha.d_k))
+        scores = T.scale(T.matmul(q, transpose(k)), 1.0 / np.sqrt(mha.d_k))
         if per_head_bias is not None:
             scores = T.add(scores, per_head_bias[i])
         if keep is not None:
-            scores = T.masked_fill(scores, keep, float("-inf"))
-        outs.append(T.matmul(T.softmax_rows(scores), v))
+            scores = masked_fill(scores, keep, float("-inf"))
+        outs.append(T.matmul(softmax_rows(scores), v))
     return T.matmul(_concat_cols_reference(outs), mha.wo)
 
 
@@ -296,13 +305,149 @@ def test_multi_head_matches_per_head_reference_bytewise(n_heads, n_q, n_k, cross
         return out.data.tobytes(), [t.grad.tobytes() if t.grad is not None else None for t in leaves]
 
     def stacked(q_in, kv_in, mha, biases, keep):
-        return multi_head_attention(q_in, kv_in, mha, bias=T.stack(biases) if biases else None, keep=keep)
+        return multi_head_attention(q_in, kv_in, mha, bias=stack(biases) if biases else None, keep=keep)
 
     want_out, want_grads = run(_per_head_reference)
     got_out, got_grads = run(stacked)
     assert got_out == want_out
     assert (got_grads[1] is not None) == cross
     assert got_grads == want_grads
+
+
+def _taped_bytes(leaves, forward, earlier=None):
+    """Forward output bytes and every leaf's gradient bytes after one taped
+    sweep of ``forward()``'s (output, loss); ``earlier`` maps a leaf to a
+    gradient it holds before the sweep."""
+    for t in leaves:
+        t.grad = None if earlier is None else earlier.get(t)
+    with GradientTape() as tape:
+        out, loss = forward()
+    backward(loss, tape)
+    return out.data.tobytes(), [None if t.grad is None else t.grad.tobytes() for t in leaves]
+
+
+def _check_attention_block(dtype, cross, batched, via, heads=4, d_k=3, n_q=5, n_k=7, seed=40):
+    """The attention block against the per-op chain, output and every
+    gradient byte for byte, with padded keys masked, a causal mask in
+    self-attention and a gated cluster bias with non-zero gates."""
+    rng = np.random.default_rng(seed)
+    d_model, n_k = heads * d_k, n_k if cross else n_q
+    lead = (3,) if batched else ()
+    mha = MultiHeadAttention(rng, d_model, heads, dtype=dtype)
+    x_leaf = Tensor(rng.normal(size=lead + (n_q, d_model)), requires_grad=True, dtype=dtype)
+    mem_leaf = Tensor(rng.normal(size=lead + (n_k, d_model)), requires_grad=True, dtype=dtype)
+    gains = [[Tensor(rng.normal(), requires_grad=True, dtype=dtype) for _ in range(heads)] for _ in range(2)]
+    tables = [rng.normal(size=lead + (h, n_q, n_k)).astype(dtype) for h in (1, heads)]
+    real_keys = np.arange(n_k) < (np.array([[n_k], [max(1, n_k - 3)], [1]]) if batched else max(1, n_k - 2))
+    keep = real_keys[..., None, :] if cross else np.tril(np.ones((n_q, n_k), dtype=bool)) & real_keys[..., None, :]
+    keep = keep[..., None, :, :]
+    c = Tensor(rng.normal(size=lead + (n_q, d_model)), dtype=dtype)
+    leaves = [x_leaf, mem_leaf, *gains[0], *gains[1], *mha.params().values()]
+    earlier = {t: rng.normal(size=t.data.shape).astype(dtype) for t in (x_leaf, mem_leaf)}
+
+    def forward(attend):
+        def run():
+            x = x_leaf if via == "leaf" else T.scale(x_leaf, 1.0)
+            mem = (mem_leaf if via == "leaf" else T.scale(mem_leaf, 1.0)) if cross else x
+            bias = T.gated_heads(list(zip(gains, tables)))
+            out = attend(x, mem, mha, bias=bias, keep=keep)
+            return out, T.sum_all(T.mul(T.add(x, out), c))
+
+        return run
+
+    want = _taped_bytes(leaves, forward(multi_head_attention_per_op), earlier)
+    got = _taped_bytes(leaves, forward(multi_head_attention), earlier)
+    assert got[0] == want[0]
+    assert (got[1][1] != earlier[mem_leaf].tobytes()) == cross
+    assert got[1] == want[1]
+    with GradientTape() as tape:
+        x = T.scale(x_leaf, 1.0)
+        multi_head_attention(x, T.scale(mem_leaf, 1.0) if cross else x, mha, keep=keep)
+    assert len(tape) == (3 if cross else 2)  # the scales, then one entry for the block
+
+
+@pytest.mark.parametrize("via", ["op", "leaf"])
+@pytest.mark.parametrize("batched", [False, True])
+@pytest.mark.parametrize("cross", [False, True])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_attention_block_matches_per_op_chain_bytewise(dtype, cross, batched, via):
+    # the gradient terms of x (and of the memory) reach an input that
+    # already holds one (the residual's, plus, for a leaf, one from an
+    # earlier sweep), so their order is pinned
+    _check_attention_block(dtype, cross, batched, via, seed=40 + 2 * cross + batched)
+
+
+@pytest.mark.parametrize(
+    "dtype, cross, heads, d_k, n_q, n_k",
+    [
+        (np.float32, False, 8, 4, 13, 13),
+        (np.float64, False, 3, 17, 5, 5),
+        (np.float32, True, 3, 17, 1, 6),
+        (np.float64, True, 2, 1, 4, 9),
+        (np.float64, False, 4, 10, 1, 1),
+        (np.float32, True, 4, 16, 6, 1),
+    ],
+)
+def test_attention_block_matches_per_op_chain_at_blas_edge_shapes(dtype, cross, heads, d_k, n_q, n_k):
+    # shapes at which one product with the heads' weights side by side, or
+    # the same product from operands laid out otherwise, reaches other BLAS
+    # kernels and other bits: odd and one-wide heads, single query rows
+    # (gemv) and single keys
+    _check_attention_block(dtype, cross, True, "op", heads, d_k, n_q, n_k, seed=60 + heads + d_k)
+
+
+@pytest.mark.parametrize("batched", [False, True])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_ffn_and_residual_blocks_match_per_op_chains_bytewise(dtype, batched):
+    # x feeds the FFN and both residual sums, so its terms arrive from three
+    # entries; a leaf gradient from an earlier sweep comes first
+    rng = np.random.default_rng(50 + batched)
+    lead = (3,) if batched else ()
+    ff = FeedForward(rng, 6, 10, dtype=dtype)
+    ff.b1.data = rng.normal(size=10).astype(dtype)  # some pre-activations negative, some positive
+    ln1, ln2 = LayerNormParams(6, dtype), LayerNormParams(6, dtype)
+    for ln in (ln1, ln2):
+        ln.gain.data = rng.normal(size=6).astype(dtype)
+        ln.shift.data = rng.normal(size=6).astype(dtype)
+    x_leaf = Tensor(rng.normal(size=lead + (4, 6)), requires_grad=True, dtype=dtype)
+    c = Tensor(rng.normal(size=lead + (4, 6)), dtype=dtype)
+    leaves = [x_leaf, *ff.params().values(), *ln1.params().values(), *ln2.params().values()]
+    earlier = {x_leaf: rng.normal(size=x_leaf.data.shape).astype(dtype)}
+
+    def forward(ffn, residual):
+        def run():
+            h = residual(x_leaf, ffn(ff, x_leaf), ln1)
+            out = residual(h, x_leaf, ln2)
+            return out, T.sum_all(T.mul(out, c))
+
+        return run
+
+    want = _taped_bytes(leaves, forward(feed_forward_per_op, residual_layernorm_per_op), earlier)
+    got = _taped_bytes(leaves, forward(feed_forward, residual_layernorm), earlier)
+    assert got == want
+
+
+def test_blocks_keep_the_chains_input_checks():
+    rng = np.random.default_rng(13)
+    mha = MultiHeadAttention(rng, d_model=8, n_heads=2, dtype=np.float64)
+    x = t64(rng.normal(size=(2, 3, 8)))
+    with pytest.raises(ValueError, match="matmul shape mismatch"):
+        multi_head_attention(t64(rng.normal(size=(3, 6))), t64(rng.normal(size=(3, 6))), mha)
+    with pytest.raises(ValueError, match="attention shape mismatch"):
+        multi_head_attention(x, t64(rng.normal(size=(3, 4, 8))), mha)
+    with pytest.raises(ValueError, match="every key masked out"):
+        multi_head_attention(x, x, mha, keep=np.zeros((3, 3), dtype=bool))
+    with pytest.raises(ValueError, match="mask shape"):
+        multi_head_attention(x, x, mha, keep=np.ones((1, 2, 2, 3, 3), dtype=bool))
+    with pytest.raises(TypeError, match="mixed tensor dtypes"):
+        multi_head_attention(Tensor(x.data, dtype=np.float32), x, mha)
+    ff = FeedForward(rng, 8, 4, dtype=np.float64)
+    with pytest.raises(ValueError, match="matmul shape mismatch"):
+        feed_forward(ff, t64(rng.normal(size=(3, 6))))
+    with pytest.raises(ValueError, match="add shape mismatch"):
+        residual_layernorm(x, t64(rng.normal(size=(3, 8))), LayerNormParams(8, np.float64))
+    with pytest.raises(ValueError, match="layernorm shapes"):
+        residual_layernorm(x, x, LayerNormParams(4, np.float64))
 
 
 # ------------------------------------------------------------ feed-forward

@@ -7,7 +7,6 @@ import pytest
 from ktransformer import tensor as T
 from ktransformer.cluster import ClusterResult
 from ktransformer.corpus import BOS_ID, EOS_ID, PAD_ID
-from ktransformer.layers import feed_forward, residual_layernorm, scaled_dot_attention
 from ktransformer.model import (
     ClusterBiasParams,
     IncrementalDecoder,
@@ -17,7 +16,14 @@ from ktransformer.model import (
 )
 from ktransformer.tensor import GradientTape, Tensor, backward
 
-from oracles import cluster_bias, finite_diff_check, kmeans_fit
+from oracles import (
+    cluster_bias,
+    feed_forward_per_op,
+    finite_diff_check,
+    kmeans_fit,
+    residual_layernorm_per_op,
+    scaled_dot_attention,
+)
 
 
 def small_config(**kw):
@@ -325,8 +331,6 @@ def test_same_cluster_attention_weight_exceeds_cross_cluster():
     emb_t = T.pick_rows(m.src_embed, ids)
     res = kmeans_fit(emb_t.data, min(cfg.clusters_k, len(ids)), seed=cfg.cluster_seed)
     bias = cluster_bias(res, emb_t, 0, layer.bias, "same_cluster")
-    from ktransformer.layers import scaled_dot_attention
-
     q = T.matmul(emb_t, layer.attn.wq[0])
     k = T.matmul(emb_t, layer.attn.wk[0])
     v = T.matmul(emb_t, layer.attn.wv[0])
@@ -567,10 +571,12 @@ class TensorOpDecoder:
             k = np.concatenate([self.cache[li][0], k], axis=2)
             v = np.concatenate([self.cache[li][1], v], axis=2)
             self.cache[li] = (k, v)
-            x = residual_layernorm(x, self._attend(q, layer.self_attn.wo, k, v), layer.ln1)
+            x = residual_layernorm_per_op(x, self._attend(q, layer.self_attn.wo, k, v), layer.ln1)
             (q,) = self._project(x, w_q)
-            x = residual_layernorm(x, self._attend(q, layer.cross_attn.wo, *self.memory[li], self.memory_keep), layer.ln2)
-            x = residual_layernorm(x, feed_forward(layer.ffn, x), layer.ln3)
+            x = residual_layernorm_per_op(
+                x, self._attend(q, layer.cross_attn.wo, *self.memory[li], self.memory_keep), layer.ln2
+            )
+            x = residual_layernorm_per_op(x, feed_forward_per_op(layer.ffn, x), layer.ln3)
         self.length += 1
         return T.matmul(x, m.out_proj).data
 

@@ -5,9 +5,26 @@ import numpy as np
 import pytest
 
 from ktransformer import tensor as T
+from ktransformer.layers import (
+    FeedForward,
+    LayerNormParams,
+    MultiHeadAttention,
+    feed_forward,
+    multi_head_attention,
+    residual_layernorm,
+)
 from ktransformer.tensor import GradientTape, Tensor, backward
 
-from oracles import finite_diff_check
+from oracles import (
+    finite_diff_check,
+    layernorm_rows,
+    masked_fill,
+    merge_heads,
+    relu,
+    softmax_rows,
+    stack,
+    transpose,
+)
 
 
 def slow_matmul(a, b):
@@ -69,12 +86,12 @@ def test_matmul_shape_mismatch():
 
 
 def test_softmax_hand_case():
-    out = T.softmax_rows(Tensor([[0.0, np.log(2.0)]], dtype=np.float64))
+    out = softmax_rows(Tensor([[0.0, np.log(2.0)]], dtype=np.float64))
     assert np.allclose(out.data, [[1.0 / 3.0, 2.0 / 3.0]], atol=1e-15)
 
 
 def test_softmax_large_logits_stable():
-    out = T.softmax_rows(Tensor([[1000.0, 0.0]], dtype=np.float64))
+    out = softmax_rows(Tensor([[1000.0, 0.0]], dtype=np.float64))
     assert np.all(np.isfinite(out.data))
     assert abs(float(out.data.sum()) - 1.0) < 1e-12
 
@@ -82,12 +99,12 @@ def test_softmax_large_logits_stable():
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(3)
     for shape in ((6, 9), (3, 6, 9)):
-        out = T.softmax_rows(Tensor(rng.normal(size=shape), dtype=np.float64))
+        out = softmax_rows(Tensor(rng.normal(size=shape), dtype=np.float64))
         assert np.allclose(out.data.sum(axis=-1), 1.0, atol=1e-12)
 
 
 def test_relu_forward():
-    out = T.relu(Tensor([[-1.0, 0.0, 2.5]], dtype=np.float64))
+    out = relu(Tensor([[-1.0, 0.0, 2.5]], dtype=np.float64))
     assert np.array_equal(out.data, [[0.0, 0.0, 2.5]])
 
 
@@ -115,21 +132,21 @@ def test_pick_rows_rejects_out_of_range():
 def test_masked_fill_values():
     x = Tensor([[1.0, 2.0], [3.0, 4.0]], dtype=np.float64)
     keep = np.array([[True, False], [False, True]])
-    out = T.masked_fill(x, keep, -50.0)
+    out = masked_fill(x, keep, -50.0)
     assert np.array_equal(out.data, [[1.0, -50.0], [-50.0, 4.0]])
     # a (rows, cols) mask is shared by every head of a stack
     stacked = Tensor(np.arange(8, dtype=np.float64).reshape(2, 2, 2))
-    out = T.masked_fill(stacked, keep, -50.0)
+    out = masked_fill(stacked, keep, -50.0)
     assert np.array_equal(out.data, [[[0.0, -50.0], [-50.0, 3.0]], [[4.0, -50.0], [-50.0, 7.0]]])
     with pytest.raises(ValueError):
-        T.masked_fill(stacked, np.ones((2, 3), dtype=bool), -50.0)
+        masked_fill(stacked, np.ones((2, 3), dtype=bool), -50.0)
 
 
 def test_layernorm_hand_case():
     x = Tensor([[1.0, 3.0]], dtype=np.float64)
     gain = Tensor([1.0, 1.0], dtype=np.float64)
     shift = Tensor([0.0, 0.0], dtype=np.float64)
-    out = T.layernorm_rows(x, gain, shift)
+    out = layernorm_rows(x, gain, shift)
     # population std of (1,3) is 1, so the row maps to (-1, 1) up to eps
     assert np.allclose(out.data, [[-1.0, 1.0]], atol=1e-5)
 
@@ -138,29 +155,29 @@ def test_layernorm_constant_row_maps_to_shift():
     x = Tensor([[5.0, 5.0, 5.0]], dtype=np.float64)
     gain = Tensor([2.0, 2.0, 2.0], dtype=np.float64)
     shift = Tensor([0.5, 0.5, 0.5], dtype=np.float64)
-    out = T.layernorm_rows(x, gain, shift)
+    out = layernorm_rows(x, gain, shift)
     assert np.allclose(out.data, 0.5, atol=1e-12)
 
 
 def test_stack_values():
     a = Tensor(np.ones((2, 3)))
     b = Tensor(np.zeros((2, 3)))
-    out = T.stack([a, b])
+    out = stack([a, b])
     assert out.data.shape == (2, 2, 3)
     assert np.array_equal(out.data[0], a.data) and np.array_equal(out.data[1], b.data)
     with pytest.raises(ValueError):
-        T.stack([a, Tensor(np.zeros((2, 2)))])
+        stack([a, Tensor(np.zeros((2, 2)))])
 
 
 def test_merge_heads_places_head_i_in_column_block_i():
     x = np.arange(12, dtype=np.float64).reshape(3, 2, 2)  # 3 heads, 2 rows, width 2
-    out = T.merge_heads(Tensor(x))
+    out = merge_heads(Tensor(x))
     assert out.data.shape == (2, 6)
     # oracle: row r is head 0's row r, then head 1's, then head 2's
     for r in range(2):
         assert list(out.data[r]) == [float(v) for h in range(3) for v in x[h, r]]
     with pytest.raises(ValueError):
-        T.merge_heads(Tensor(np.zeros((2, 3))))
+        merge_heads(Tensor(np.zeros((2, 3))))
 
 
 def test_dtype_mixing_rejected():
@@ -194,7 +211,7 @@ def test_grad_matmul_closed_form():
 def test_grad_relu_hand_case():
     x = leaf([[-1.0, 2.0]])
     with GradientTape() as tape:
-        y = T.sum_all(T.relu(x))
+        y = T.sum_all(relu(x))
     backward(y, tape)
     assert np.array_equal(x.grad, [[0.0, 1.0]])
 
@@ -220,7 +237,7 @@ def test_grad_masked_fill_blocks_filled_entries():
     x = leaf([[1.0, 2.0]])
     keep = np.array([[True, False]])
     with GradientTape() as tape:
-        y = T.sum_all(T.masked_fill(x, keep, -9.0))
+        y = T.sum_all(masked_fill(x, keep, -9.0))
     backward(y, tape)
     assert np.array_equal(x.grad, [[1.0, 0.0]])
 
@@ -228,14 +245,14 @@ def test_grad_masked_fill_blocks_filled_entries():
 def test_grad_transpose_and_scale():
     x = leaf([[1.0, 2.0], [3.0, 4.0]])
     with GradientTape() as tape:
-        y = T.sum_all(T.scale(T.transpose(x), 3.0))
+        y = T.sum_all(T.scale(transpose(x), 3.0))
     backward(y, tape)
     assert np.array_equal(x.grad, np.full((2, 2), 3.0))
     # on a stack, each head is transposed and so is each head's gradient
     x = leaf(np.arange(12, dtype=np.float64).reshape(2, 2, 3))
     c = Tensor(np.arange(12, dtype=np.float64).reshape(2, 3, 2))
     with GradientTape() as tape:
-        out = T.transpose(x)
+        out = transpose(x)
         y = T.sum_all(T.mul(out, c))
     backward(y, tape)
     assert np.array_equal(out.data, np.swapaxes(x.data, 1, 2))
@@ -266,13 +283,13 @@ def test_fd_matmul_chain():
 def test_fd_relu_chain():
     rng = np.random.default_rng(1)
     w = Tensor(rng.normal(size=(3, 5)), dtype=np.float64)
-    fd(lambda t: T.sum_all(T.relu(T.matmul(t, w))), rng.normal(size=(2, 3)) + 0.1)
+    fd(lambda t: T.sum_all(relu(T.matmul(t, w))), rng.normal(size=(2, 3)) + 0.1)
 
 
 def test_fd_softmax_weighted():
     rng = np.random.default_rng(2)
     c = Tensor(rng.normal(size=(3, 4)), dtype=np.float64)
-    fd(lambda t: T.sum_all(T.mul(T.softmax_rows(t), c)), rng.normal(size=(3, 4)))
+    fd(lambda t: T.sum_all(T.mul(softmax_rows(t), c)), rng.normal(size=(3, 4)))
 
 
 def test_fd_stack_each_part():
@@ -283,7 +300,7 @@ def test_fd_stack_each_part():
 
         def f(t, i=i):
             ts = [t if j == i else Tensor(p, dtype=np.float64) for j, p in enumerate(parts)]
-            return T.sum_all(T.mul(T.stack(ts), c))
+            return T.sum_all(T.mul(stack(ts), c))
 
         fd(f, parts[i])
 
@@ -291,7 +308,7 @@ def test_fd_stack_each_part():
 def test_fd_merge_heads():
     rng = np.random.default_rng(8)
     c = Tensor(rng.normal(size=(2, 6)), dtype=np.float64)
-    fd(lambda t: T.sum_all(T.mul(T.merge_heads(t), c)), rng.normal(size=(3, 2, 2)))
+    fd(lambda t: T.sum_all(T.mul(merge_heads(t), c)), rng.normal(size=(3, 2, 2)))
 
 
 def test_fd_masked_softmax():
@@ -301,7 +318,7 @@ def test_fd_masked_softmax():
         c = Tensor(rng.normal(size=heads + (2, 4)), dtype=np.float64)
 
         def f(t):
-            return T.sum_all(T.mul(T.softmax_rows(T.masked_fill(t, keep, float("-inf"))), c))
+            return T.sum_all(T.mul(softmax_rows(masked_fill(t, keep, float("-inf"))), c))
 
         fd(f, rng.normal(size=heads + (2, 4)))
 
@@ -315,14 +332,14 @@ def test_fd_layernorm_all_three_inputs():
 
     def wrt_x(t):
         return T.sum_all(
-            T.mul(T.layernorm_rows(t, Tensor(gain, dtype=np.float64), Tensor(shift, dtype=np.float64)), c)
+            T.mul(layernorm_rows(t, Tensor(gain, dtype=np.float64), Tensor(shift, dtype=np.float64)), c)
         )
 
     def wrt_gain(t):
-        return T.sum_all(T.mul(T.layernorm_rows(Tensor(x, dtype=np.float64), t, Tensor(shift, dtype=np.float64)), c))
+        return T.sum_all(T.mul(layernorm_rows(Tensor(x, dtype=np.float64), t, Tensor(shift, dtype=np.float64)), c))
 
     def wrt_shift(t):
-        return T.sum_all(T.mul(T.layernorm_rows(Tensor(x, dtype=np.float64), Tensor(gain, dtype=np.float64), t), c))
+        return T.sum_all(T.mul(layernorm_rows(Tensor(x, dtype=np.float64), Tensor(gain, dtype=np.float64), t), c))
 
     fd(wrt_x, x)
     fd(wrt_gain, gain)
@@ -489,7 +506,7 @@ def _batch_cases(dtype):
         "shared_table": (taking(x5, lambda x: T.add(x, table)), [table]),
         "scalar_add": (taking(x5, lambda x: T.add(x, scalar)), [scalar]),
         "scalar_mul": (taking(x5, lambda x: T.mul(scalar, x)), [scalar]),
-        "layernorm": (taking(x5, lambda x: T.layernorm_rows(x, gain, shift)), [gain, shift]),
+        "layernorm": (taking(x5, lambda x: layernorm_rows(x, gain, shift)), [gain, shift]),
         "pick_rows": (lambda rows: (T.pick_rows(emb, ids[rows]), None), [emb]),
         "cross_entropy": (
             lambda rows: (lambda x: (T.masked_cross_entropy(x, targets[rows], active[rows]), x))(
@@ -573,9 +590,36 @@ def test_fd_batched_ops():
     gain, shift = rng.normal(size=4), rng.normal(size=4)
     cl = Tensor(rng.normal(size=(3, 2, 4)), dtype=np.float64)
     as64 = lambda a: Tensor(a, dtype=np.float64)
-    fd(lambda t: T.sum_all(T.mul(T.layernorm_rows(t, as64(gain), as64(shift)), cl)), x)
-    fd(lambda t: T.sum_all(T.mul(T.layernorm_rows(as64(x), t, as64(shift)), cl)), gain)
-    fd(lambda t: T.sum_all(T.mul(T.layernorm_rows(as64(x), as64(gain), t), cl)), shift)
+    fd(lambda t: T.sum_all(T.mul(layernorm_rows(t, as64(gain), as64(shift)), cl)), x)
+    fd(lambda t: T.sum_all(T.mul(layernorm_rows(as64(x), t, as64(shift)), cl)), gain)
+    fd(lambda t: T.sum_all(T.mul(layernorm_rows(as64(x), as64(gain), t), cl)), shift)
     tables = rng.normal(size=(3, 2, 2, 2))
     ch = Tensor(rng.normal(size=(3, 2, 2, 2)), dtype=np.float64)
     fd(lambda t: T.sum_all(T.mul(T.gated_heads([([t, as64(0.5)], tables)]), ch)), np.array(0.3))
+    # the one-entry blocks: attention (self with a gated bias and a causal
+    # mask, cross over padded memory, one head's weight), FFN, residual norm
+    mha = MultiHeadAttention(rng, 4, 2, dtype=np.float64)
+    mem = rng.normal(size=(3, 3, 4))
+    causal = np.tril(np.ones((2, 2), dtype=bool))
+    padded = (np.arange(3) < np.array([[3], [2], [1]]))[:, None, None, :]
+    bias_tables = rng.normal(size=(3, 2, 2, 2))
+
+    def self_attention(t):
+        bias = T.gated_heads([([as64(0.7), as64(-0.4)], bias_tables)])
+        return T.sum_all(T.mul(multi_head_attention(t, t, mha, bias=bias, keep=causal), cl))
+
+    fd(self_attention, x)
+    fd(lambda t: T.sum_all(T.mul(multi_head_attention(as64(x), t, mha, keep=padded), cl)), mem)
+
+    def wrt_wk1(t):
+        mha.wk[1] = t
+        return T.sum_all(T.mul(multi_head_attention(as64(x), as64(mem), mha, keep=padded), cl))
+
+    fd(wrt_wk1, mha.wk[1].data)
+    ff = FeedForward(rng, 4, 5, dtype=np.float64)
+    ff.b1.data = rng.normal(size=5)
+    fd(lambda t: T.sum_all(T.mul(feed_forward(ff, t), cl)), x)
+    ln = LayerNormParams(4, np.float64)
+    ln.gain.data, ln.shift.data = gain, shift
+    sub = rng.normal(size=(3, 2, 4))
+    fd(lambda t: T.sum_all(T.mul(residual_layernorm(t, as64(sub), ln), cl)), x)

@@ -895,6 +895,35 @@ def test_step_tape_length_does_not_grow_with_batch_size(tmp_path):
     assert len(lengths) == 2 and lengths[0] == lengths[1]
 
 
+def test_step_tape_length_does_not_depend_on_head_count(tmp_path):
+    # each attention, feed-forward and residual layer norm is one tape entry
+    # whatever the number of heads
+    from ktransformer import trainer
+    from ktransformer.corpus import ParallelCorpus
+
+    rng = np.random.default_rng(5)
+    src = [[f"w{int(rng.integers(0, 9))}" for _ in range(int(rng.integers(1, 8)))] for _ in range(8)]
+    corpus = ParallelCorpus(src, [list(s) for s in src], "space_tokenized", "space_tokenized")
+    vs, vt = vocab_pair(corpus)
+    lengths = []
+    real_backward = trainer.backward
+
+    def recording_backward(loss, tape):
+        lengths.append(len(tape))
+        return real_backward(loss, tape)
+
+    trainer.backward = recording_backward
+    try:
+        for heads in (1, 2, 4):
+            model = tiny_model(vocab_src=len(vs), vocab_tgt=len(vt), heads=heads, layers_enc=2, layers_dec=2,
+                               dropout=0.1, cluster_mode="both")
+            cfg = TrainConfig(out_dir=str(tmp_path / f"h{heads}"), max_steps=1, batch_size=8, seed=0)
+            train(model, corpus, vs, vt, cfg)
+    finally:
+        trainer.backward = real_backward
+    assert len(lengths) == 3 and lengths[0] == lengths[1] == lengths[2]
+
+
 # ------------------------------------------------------------ two processes
 
 
