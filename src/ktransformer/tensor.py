@@ -107,8 +107,8 @@ class GradientTape:
 
     Used as a context manager; operations executed inside the block whose
     inputs require gradients are recorded. ``backward`` then replays the
-    record in reverse, visiting each entry exactly once. A tape can be
-    replayed only once.
+    record in reverse, visiting each entry exactly once and dropping it
+    after its rule has run. A tape can be replayed only once.
 
     ``carry``, when given, hands the sweep's folds over between the two
     processes of a batch split in two, through ``take(shape)`` and
@@ -138,7 +138,9 @@ class GradientTape:
         _tape_stack.pop()
 
     def __len__(self) -> int:
-        return len(self._entries)
+        # the entries recorded, also after ``backward`` has dropped them: each
+        # entry's output stays alive while the record does, so no id repeats
+        return len(self._output_ids)
 
     def _record(self, inputs: tuple[Tensor, ...], out: Tensor, rule: Callable) -> None:
         self._entries.append((inputs, out, rule))
@@ -191,6 +193,12 @@ def backward(loss: Tensor, tape: GradientTape) -> None:
     are added one after another. Parameter values are not touched. A
     second replay of the same tape raises. The tape's carry, if it has one,
     hands over the folds of this sweep and of no other.
+
+    The sweep drops the tape's record as it goes, each entry once its rule
+    has run, so the activations and rule closures that only the tape held
+    are freed by the time ``backward`` returns; a rule that raises leaves
+    no unswept entry behind either. ``len(tape)`` still counts the entries
+    recorded.
     """
     if loss.data.shape not in ((), (1,)):
         raise ValueError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -204,8 +212,10 @@ def backward(loss: Tensor, tape: GradientTape) -> None:
     _sweep_carry = tape.carry
     flowing: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     output_ids = tape._output_ids
+    entries, tape._entries = tape._entries, []
     try:
-        for inputs, out, rule in reversed(tape._entries):
+        while entries:
+            inputs, out, rule = entries.pop()
             g = flowing.pop(id(out), None)
             if g is None:
                 continue  # branch not contributing to this loss
@@ -225,6 +235,7 @@ def backward(loss: Tensor, tape: GradientTape) -> None:
                     t.grad = acc
     finally:
         _sweep_carry = None
+        entries.clear()
 
 
 def _check_same_dtype(*tensors: Tensor) -> np.dtype:

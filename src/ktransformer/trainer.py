@@ -20,6 +20,7 @@ host endianness.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import itertools
 import json
@@ -267,19 +268,34 @@ def save_checkpoint(
     profile_src: str | None = None,
     profile_tgt: str | None = None,
 ) -> None:
-    """Serialize model (and optionally optimizer state and vocabularies)."""
+    """Serialize model (and optionally optimizer state and vocabularies).
+
+    Each buffer goes to the hash and to the file as it is, without a copy
+    of the payload, unless it has to be made C-contiguous little-endian
+    first. The file is written beside ``path`` as ``<name>.tmp`` and moved
+    onto it; if either fails, the temporary file is removed and an earlier
+    file at ``path`` stays as it was."""
     params = model.parameters()
     contents = LoadedCheckpoint(model, state, vocab_src, vocab_tgt, profile_src, profile_tgt)
-    buffer = b"".join(arr.astype(_dtype_code(arr.dtype), copy=False).tobytes() for _, arr in _layout(params, state))
-    manifest = _manifest(contents, params, hashlib.sha256(buffer).hexdigest())
+    # views of the stored arrays, except where the order or byte order differs
+    buffers = [np.ascontiguousarray(arr, dtype=_dtype_code(arr.dtype)) for _, arr in _layout(params, state)]
+    digest = hashlib.sha256()
+    for buf in buffers:
+        digest.update(buf)
+    manifest = _manifest(contents, params, digest.hexdigest())
     blob = json.dumps(manifest, ensure_ascii=False, sort_keys=True).encode("utf-8")
     tmp = Path(path).with_name(Path(path).name + ".tmp")
-    with open(tmp, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<Q", len(blob)))
-        f.write(blob)
-        f.write(buffer)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as f:
+            f.write(CHECKPOINT_MAGIC)
+            f.write(struct.pack("<Q", len(blob)))
+            f.write(blob)
+            for buf in buffers:
+                f.write(buf)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _first_difference(stored, expected, path: str) -> str | None:
@@ -332,7 +348,8 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
     vocabularies and profiles), then loads the file only if its manifest
     equals the one ``save_checkpoint`` would write for what was loaded, and
     only if every parameter and Adam moment is finite; any truncation,
-    corruption or mismatch is a ``CheckpointError``."""
+    corruption or mismatch is a ``CheckpointError``. The file is read once;
+    the payload is hashed and decoded through a view of those bytes."""
     try:
         data = Path(path).read_bytes()
     except OSError as e:
@@ -355,7 +372,7 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
         raise CheckpointError(
             f"unsupported checkpoint format version {manifest.get('format_version')!r}, expected {FORMAT_VERSION}"
         )
-    buffer = data[header + mlen :]
+    buffer = memoryview(data)[header + mlen :]  # hashed and decoded in place, not copied
     buffer_sha256 = hashlib.sha256(buffer).hexdigest()
     if buffer_sha256 != manifest.get("buffer_sha256"):
         raise CheckpointError("checkpoint buffer integrity check failed")
@@ -435,6 +452,28 @@ class LogRow:
 def _log_line(row: LogRow) -> str:
     val = "" if row.val_bleu is None else f"{row.val_bleu:.6f}"
     return f"{row.step},{row.loss:.6f},{val},{row.wall_ms:.3f}\n"
+
+
+# mallopt parameters of glibc's malloc.h
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_memory() -> None:
+    """Have the C library's malloc keep the memory this process frees for
+    reuse: blocks up to 32 MB come from the heap, whose free top goes back
+    to the system only beyond 64 MB. A training step frees its tape at once,
+    at the top of the heap, and by default glibc hands that back, so the
+    next step faults every page of it in again (hundreds to about 1900
+    minor faults per step at the benchmark's shapes). Process-wide and lasting; nothing
+    happens where the C library has no ``mallopt``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
 def _usable_cpus() -> int:
@@ -611,7 +650,11 @@ def train(
     call and reaped before ``train`` returns or raises, runs its last half
     and hands over its fold totals and losses, bit for bit; the loss mean,
     its finiteness check, clipping, Adam, validation and checkpoints stay in
-    this process.
+    this process. A step's memory is freed as soon as it is dead: its
+    activations when ``backward`` returns (in both processes), its
+    gradients once Adam has copied them, so validation, checkpoints and
+    the next step's forward run without them. The C library's malloc is
+    set to keep what a step frees for the next one (``_keep_freed_memory``).
 
     Writes train_log.csv (append-only), best.ckpt at each validation
     high-water mark, and final.ckpt once, when ``train`` returns or raises:
@@ -621,6 +664,7 @@ def train(
     the seeds: same config, same corpus, same floats.
     """
     config.validate()
+    _keep_freed_memory()
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     final_path = out_dir / "final.ckpt"
@@ -672,6 +716,7 @@ def train(
                 clip_global_norm(grads, config.grad_clip)
                 lr_scale = min(1.0, step / config.warmup_steps) if config.warmup_steps > 0 else 1.0
                 adam_step(params, grads, state, lr_scale=lr_scale)
+                del grads  # copied into the state; not held through validation and the next step
 
                 val = None
                 if config.val_interval > 0 and step % config.val_interval == 0 and val_corpus is not None:

@@ -1,6 +1,8 @@
 """Autodiff core: forward values against independent oracles, gradients
 against closed forms and central finite differences."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -410,6 +412,29 @@ def test_backward_twice_rejected():
     backward(y, tape)
     with pytest.raises(RuntimeError):
         backward(y, tape)
+
+
+def test_backward_frees_what_only_the_tape_held():
+    # the intermediate h and the product's rule closure are held by the tape
+    # alone once the caller drops h: the sweep frees them, the gradients are
+    # the closed form's, len(tape) still counts what was recorded, and the
+    # spent tape still refuses a second replay
+    x = leaf([[1.0, -2.0], [0.5, 3.0]])
+    w = leaf([[2.0, 0.0], [1.0, -1.0]])
+    with GradientTape() as tape:
+        h = T.matmul(x, w)
+        loss = T.sum_all(T.mul(h, h))
+    held = weakref.ref(h.data)
+    hd = h.data.copy()
+    del h
+    assert held() is not None
+    backward(loss, tape)
+    assert held() is None
+    assert np.array_equal(x.grad, 2.0 * hd @ w.data.T)
+    assert np.array_equal(w.grad, 2.0 * x.data.T @ hd)
+    assert len(tape) == 3
+    with pytest.raises(RuntimeError):
+        backward(loss, tape)
 
 
 def test_backward_foreign_loss_rejected():

@@ -1,9 +1,11 @@
 """Optimizer math, checkpoint format, and the training loop."""
 
 import csv
+import hashlib
 import json
 import os
 import struct
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -543,6 +545,77 @@ def test_checkpoint_atomic_replace(tmp_path):
     save_checkpoint(model, path)  # overwrite in place
     assert path.read_bytes() == first
     assert list(tmp_path.iterdir()) == [path]  # no temp litter
+
+
+def _joined_checkpoint_bytes(model, state, **meta) -> bytes:
+    """The file as the payload-joining formula built it: every buffer
+    converted with ``astype(...).tobytes()`` and joined before hashing."""
+    from ktransformer import trainer
+
+    params = model.parameters()
+    contents = trainer.LoadedCheckpoint(model, state, meta.get("vocab_src"), meta.get("vocab_tgt"),
+                                        meta.get("profile_src"), meta.get("profile_tgt"))
+    buffer = b"".join(
+        arr.astype(trainer._dtype_code(arr.dtype), copy=False).tobytes() for _, arr in trainer._layout(params, state)
+    )
+    manifest = trainer._manifest(contents, params, hashlib.sha256(buffer).hexdigest())
+    blob = json.dumps(manifest, ensure_ascii=False, sort_keys=True).encode("utf-8")
+    return trainer.CHECKPOINT_MAGIC + struct.pack("<Q", len(blob)) + blob + buffer
+
+
+@pytest.mark.parametrize("with_state", [False, True])
+def test_streamed_save_writes_the_joined_payloads_bytes(tmp_path, with_state):
+    # one parameter rebound to a strided view, one stored big-endian and, with
+    # optimizer state, one moment of each kind: the file is the one the
+    # joining formula builds, and it loads back to the same values
+    from ktransformer.corpus import Vocabulary
+
+    model = tiny_model(precision="f32", vocab_src=6, vocab_tgt=5)
+    params = model.parameters()
+    state = AdamState(params, lr=0.01) if with_state else None
+    rng = np.random.default_rng(3)
+    if state is not None:
+        adam_step(params, {n: rng.normal(size=p.data.shape) for n, p in params.items()}, state)
+    wide = np.zeros((params["out_proj"].data.shape[0], 2 * params["out_proj"].data.shape[1]), dtype=np.float32)
+    wide[:, ::2] = params["out_proj"].data
+    params["out_proj"].data = wide[:, ::2]
+    params["src_embed"].data = params["src_embed"].data.astype(">f4")
+    assert not params["out_proj"].data.flags.c_contiguous
+    if state is not None:
+        state.m["tgt_embed"] = np.asfortranarray(state.m["tgt_embed"])
+        state.v["out_proj"] = state.v["out_proj"].astype(">f4")
+        assert not state.m["tgt_embed"].flags.c_contiguous
+    meta = dict(vocab_src=Vocabulary(["a", "b"]), vocab_tgt=Vocabulary(["x"]), profile_src="space_tokenized")
+    path = tmp_path / "streamed.ckpt"
+    save_checkpoint(model, path, state=state, **meta)
+    assert path.read_bytes() == _joined_checkpoint_bytes(model, state, **meta)
+    loaded = load_checkpoint(path)
+    for name, p in params.items():
+        assert loaded.model.parameters()[name].data.tobytes() == p.data.astype("<f4").tobytes(), name
+    if state is not None:
+        for name in params:
+            assert loaded.state.m[name].tobytes() == state.m[name].astype("<f4").tobytes(), name
+            assert loaded.state.v[name].tobytes() == state.v[name].astype("<f4").tobytes(), name
+
+
+def test_failed_checkpoint_replace_keeps_the_earlier_file_and_no_temp(tmp_path, monkeypatch):
+    from ktransformer import trainer
+
+    model = tiny_model()
+    path = tmp_path / "a.ckpt"
+    save_checkpoint(model, path)
+    first = path.read_bytes()
+    for p in model.parameters().values():
+        p.data = p.data + 1.0
+
+    def failing_replace(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(trainer.os, "replace", failing_replace)
+    with pytest.raises(OSError, match="replace refused"):
+        save_checkpoint(model, path)
+    assert path.read_bytes() == first
+    assert list(tmp_path.iterdir()) == [path]
 
 
 # ------------------------------------------------------------ training loop
@@ -1088,3 +1161,81 @@ def test_non_finite_loss_in_helpers_half_raises_before_the_update(tmp_path, monk
     assert loaded.state.t == 2
     for name, p in loaded.model.parameters().items():
         assert p.data.tobytes() == reference.parameters()[name].data.tobytes()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_train_frees_each_steps_tape_and_gradients(tmp_path, monkeypatch, cpus):
+    # weak references to every activation a step's tape recorded, and to the
+    # gradients handed to Adam, are dead by validation and by the next
+    # step's forward, in the main process and (split) in the helper, whose
+    # failed check would end train with its exit status
+    import weakref
+
+    from ktransformer import trainer
+
+    corpus, val, vs, vt = _split_task()
+    _force_split(monkeypatch, cpus)
+    forks = _recorded_forks(monkeypatch)
+    held, checks = [], []
+    real_taped_loss, real_adam_step, real_bleu = trainer._taped_loss, trainer.adam_step, trainer.corpus_greedy_bleu
+
+    def assert_freed(where):
+        alive = [i for i, ref in enumerate(held) if ref() is not None]
+        assert not alive, f"{len(alive)} of {len(held)} arrays still alive at {where}"
+        held.clear()
+        checks.append(where)
+
+    def watched_taped_loss(model, batch, seed, step, rows, carry=None):
+        assert_freed(f"step {step}")
+        tape, losses, loss = real_taped_loss(model, batch, seed, step, rows, carry)
+        kept = (losses.data, loss.data)
+        held.extend(
+            weakref.ref(out.data)
+            for _, out, _ in tape._entries
+            if isinstance(out.data, np.ndarray) and not any(out.data is k for k in kept)
+        )
+        assert held
+        return tape, losses, loss
+
+    def watched_adam_step(params, grads, state, lr_scale=1.0):
+        held.extend(weakref.ref(g) for g in grads.values() if isinstance(g, np.ndarray))
+        return real_adam_step(params, grads, state, lr_scale=lr_scale)
+
+    def watched_bleu(*args):
+        assert_freed("validation")
+        return real_bleu(*args)
+
+    monkeypatch.setattr(trainer, "_taped_loss", watched_taped_loss)
+    monkeypatch.setattr(trainer, "adam_step", watched_adam_step)
+    monkeypatch.setattr(trainer, "corpus_greedy_bleu", watched_bleu)
+    model = tiny_model(vocab_src=len(vs), vocab_tgt=len(vt), layers_enc=2, dropout=0.1, cluster_mode="both")
+    cfg = TrainConfig(out_dir=str(tmp_path), lr=3e-3, max_steps=6, batch_size=8, seed=0, val_interval=2)
+    train(model, corpus, vs, vt, cfg, val_corpus=val)
+    assert len(forks) == cpus - 1
+    assert checks == ["step 1", "step 2", "validation", "step 3", "step 4", "validation", "step 5", "step 6",
+                      "validation"]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts glibc malloc's page faults")
+def test_steady_training_steps_reuse_freed_memory(tmp_path, monkeypatch):
+    # each step frees its tape at once; the memory stays in the process for
+    # the next step instead of being handed back and faulted in again
+    import resource
+
+    from ktransformer import trainer
+    from ktransformer.corpus import ParallelCorpus
+
+    monkeypatch.setattr(trainer, "_usable_cpus", lambda: 1)
+    rng = np.random.default_rng(6)
+    src = [[f"w{int(rng.integers(0, 24))}" for _ in range(int(rng.integers(3, 21)))] for _ in range(64)]
+    corpus = ParallelCorpus(src, [list(s) for s in src], "space_tokenized", "space_tokenized")
+    vs, vt = vocab_pair(corpus)
+    steps, faults = 12, []
+    for call in range(2):
+        model = tiny_model(vocab_src=len(vs), vocab_tgt=len(vt), d_model=64, heads=4, d_ff=128, layers_enc=2,
+                           layers_dec=2, max_len=20, dropout=0.1, precision="f32")
+        cfg = TrainConfig(out_dir=str(tmp_path / f"call{call}"), max_steps=steps, batch_size=16, seed=0)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        train(model, corpus, vs, vt, cfg)
+        faults.append((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / steps)
+    assert faults[1] < 100, faults  # about 1800 per step when the heap is handed back
