@@ -110,6 +110,17 @@ class ModelConfig:
             raise ValueError(f"cluster_mode must be one of {CLUSTER_MODES}, got {self.cluster_mode!r}")
         dtype_of(self.precision)
 
+    def parameter_count(self) -> int:
+        """How many floats ``KTransformer(self).parameters()`` holds, worked
+        out without building anything."""
+        d, ff = self.d_model, self.d_ff
+        attention = 4 * d * d  # every head's q, k and v (d_model x d_model / heads each), then wo
+        ffn = 2 * d * ff + ff + d
+        encoder = attention + ffn + 2 * 2 * d + 2 * self.heads  # two layer norms, two gates per head
+        decoder = 2 * attention + ffn + 3 * 2 * d
+        embeddings = (self.vocab_src + 2 * self.vocab_tgt) * d  # the target table twice: embedding and out_proj
+        return embeddings + self.layers_enc * encoder + self.layers_dec * decoder
+
     def to_dict(self) -> dict:
         return asdict(self)
 

@@ -39,7 +39,7 @@ import numpy as np
 from .corpus import PROFILES, ParallelCorpus, Vocabulary, decode, encode, make_batches
 from .metrics import corpus_bleu
 from .model import KTransformer, ModelConfig
-from .tensor import GradientTape, Tensor, backward, scale, sum_all
+from .tensor import GradientTape, Tensor, backward, dtype_of, scale, sum_all
 
 CHECKPOINT_MAGIC = b"KTRX0001"
 FORMAT_VERSION = 1
@@ -101,11 +101,12 @@ class AdamState:
 
     The state owns one flat buffer each for the parameters, their gradients,
     m and v (``flat_params``, ``flat_grads``, ``flat_m``, ``flat_v``), laid
-    out in ``params`` order, and one scratch buffer of the same size, all in
-    the parameters' one dtype. ``m[name]`` and ``v[name]`` are views into the
-    moment buffers. The parameter buffer is anonymous shared memory, which a
-    forked process shares, and from construction on each parameter's
-    ``data`` is its view in ``param_views``, holding the value it had."""
+    out in ``params`` order (tensor i at ``[bounds[i], bounds[i + 1])``),
+    and one scratch buffer of the same size, all in the parameters' one
+    dtype. ``m``, ``v`` and ``grad_views`` map names to views into them. The
+    parameter buffer is anonymous shared memory, which a forked process
+    shares, and from construction on each parameter's ``data`` is its view
+    in ``param_views``, holding the value it had."""
 
     def __init__(self, params: dict[str, Tensor], lr: float = 3e-4):
         # lr 0 is allowed here and makes the update an identity; TrainConfig
@@ -118,7 +119,7 @@ class AdamState:
         dtype = kinds.pop() if kinds else np.float64
         self.lr = lr
         self.t = 0
-        bounds = np.cumsum([0] + [p.data.size for p in params.values()]).tolist()
+        self.bounds = bounds = np.cumsum([0] + [p.data.size for p in params.values()]).tolist()
         self.flat_params = _shared_zeros(bounds[-1], np.dtype(dtype))
         self.flat_grads, self.flat_m, self.flat_v, self.scratch = (np.zeros(bounds[-1], dtype=dtype) for _ in range(4))
 
@@ -141,51 +142,52 @@ def _shared_zeros(n: int, dtype: np.dtype) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, max(1, n * dtype.itemsize)), dtype=dtype, count=n)
 
 
-def clip_global_norm(grads: dict[str, np.ndarray], cap: float) -> float:
-    """Scale all gradients by cap/norm when the global L2 norm exceeds cap
-    (a cap of 0 disables clipping); returns the pre-clip norm. Direction is
+def clip_global_norm(flat: np.ndarray, bounds: list[int], cap: float) -> float:
+    """Scale ``flat``, which holds tensor i at ``[bounds[i], bounds[i + 1])``,
+    in place by cap/norm when its global L2 norm exceeds cap (a cap of 0
+    disables clipping); returns the pre-clip norm, each tensor's float64 sum
+    of squares taken over its own slice and added in order. Direction is
     preserved: the result is a nonnegative multiple of the input."""
     total = 0.0
-    for g in grads.values():
-        total += float((g.astype(np.float64) ** 2).sum())
+    for lo, hi in zip(bounds, bounds[1:]):
+        total += float(np.square(flat[lo:hi], dtype=np.float64).sum())
     norm = math.sqrt(total)
     if cap > 0 and norm > cap:
-        factor = cap / norm
-        for name in grads:
-            grads[name] = grads[name] * factor
+        flat *= cap / norm
     return norm
 
 
-def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: AdamState, lr_scale: float = 1.0) -> None:
-    """One bias-corrected Adam update, in place on the state's flat buffers.
+def adam_step(params: dict[str, Tensor], state: AdamState, lr_scale: float = 1.0, grad_clip: float = 0.0) -> float:
+    """One bias-corrected Adam update of the parameters' ``grad``, in place
+    on the state's flat buffers; returns the gradients' pre-clip global norm.
 
     Each parameter's ``data`` is its view into ``state.flat_params``; a
-    tensor whose ``data`` was rebound since is copied in first. The
-    gradients are copied into ``state.flat_grads`` in one concatenation,
-    cast to the parameters' dtype. Any non-finite gradient
-    rejects the whole step (raises before touching parameters or moments).
-    ``lr_scale`` carries the warmup multiplier. Each element goes through
-    the per-tensor update's operations in their order, so the floats do not
-    depend on the layout.
+    tensor whose ``data`` was rebound since is copied in first. Each
+    ``grad`` is copied into its slot of ``state.flat_grads`` (zeros where it
+    is None), cast to the parameters' dtype, and reset to None. The buffer is
+    then clipped to ``grad_clip`` (``clip_global_norm``; 0 disables it). Any
+    non-finite gradient rejects the whole step (raises before touching
+    parameters or moments). ``lr_scale`` carries the warmup multiplier. Each
+    element goes through the per-tensor update's operations in their order,
+    so the floats do not depend on the layout.
     """
-    if set(grads) != set(params):
-        missing = set(params) ^ set(grads)
-        raise ValueError(f"gradient/parameter name mismatch: {sorted(missing)[:5]}")
     if params.keys() != state.param_views.keys():
         raise ValueError("parameter names do not match the optimizer state")
     for name, view in state.param_views.items():
         p = params[name]
-        if grads[name].shape != p.data.shape:
-            raise ValueError(f"gradient shape {grads[name].shape} for {name!r} does not match {p.data.shape}")
         if p.data is not view:
             if p.data.shape != view.shape:
                 raise ValueError(f"parameter {name!r} has shape {p.data.shape}, the optimizer state {view.shape}")
             view[...] = p.data
             p.data = view
+        if p.grad is not None and p.grad.shape != view.shape:
+            raise ValueError(f"gradient shape {p.grad.shape} for {name!r} does not match {view.shape}")
+        state.grad_views[name][...] = 0 if p.grad is None else p.grad
+        p.grad = None
     g = state.flat_grads
-    np.concatenate([grads[name].reshape(-1) for name in state.param_views], out=g)
+    norm = clip_global_norm(g, state.bounds, grad_clip)
     if not np.isfinite(g).all():
-        name = next(name for name in grads if not np.isfinite(state.grad_views[name]).all())
+        name = next(name for name, view in state.grad_views.items() if not np.isfinite(view).all())
         raise DivergenceError(f"non-finite gradient for {name!r}; step rejected")
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1 ** state.t
@@ -205,6 +207,7 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: Ad
     step *= lr
     step /= s
     state.flat_params -= step
+    return norm
 
 
 def _dtype_code(dtype: np.dtype) -> str:
@@ -345,11 +348,13 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
 
     Checks what it has to interpret (the magic, format version, buffer hash,
     model configuration, Adam step counter and learning rate, embedded
-    vocabularies and profiles), then loads the file only if its manifest
-    equals the one ``save_checkpoint`` would write for what was loaded, and
-    only if every parameter and Adam moment is finite; any truncation,
-    corruption or mismatch is a ``CheckpointError``. The file is read once;
-    the payload is hashed and decoded through a view of those bytes."""
+    vocabularies and profiles), and the payload length the configuration
+    implies before it builds the model; then loads the file only if its
+    manifest equals the one ``save_checkpoint`` would write for what was
+    loaded, and only if every parameter and Adam moment is finite; any
+    truncation, corruption or mismatch is a ``CheckpointError``. The file is
+    read once; the payload is hashed and decoded through a view of those
+    bytes."""
     try:
         data = Path(path).read_bytes()
     except OSError as e:
@@ -368,9 +373,10 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
         raise CheckpointError(f"unreadable checkpoint manifest: {e}") from e
     if not isinstance(manifest, dict):
         raise CheckpointError("checkpoint manifest is not a JSON object")
-    if manifest.get("format_version") != FORMAT_VERSION:
+    version = manifest.get("format_version")
+    if type(version) is not int or version != FORMAT_VERSION:  # exact type, as True == 1
         raise CheckpointError(
-            f"unsupported checkpoint format version {manifest.get('format_version')!r}, expected {FORMAT_VERSION}"
+            f"unsupported checkpoint format version {version!r}, expected {FORMAT_VERSION}"
         )
     buffer = memoryview(data)[header + mlen :]  # hashed and decoded in place, not copied
     buffer_sha256 = hashlib.sha256(buffer).hexdigest()
@@ -381,6 +387,11 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
         config = ModelConfig.from_dict(manifest["model_config"])
     except (KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"invalid model configuration in checkpoint: {e}") from e
+    # checked before anything is built, so no configuration can allocate more than the file holds
+    banks = 1 if manifest.get("adam") is None else 3  # the parameters, then Adam's m and v
+    implied = config.parameter_count() * np.dtype(dtype_of(config.precision)).itemsize * banks
+    if implied != len(buffer):
+        raise CheckpointError(f"checkpoint buffer holds {len(buffer)} bytes, its model configuration implies {implied}")
     try:
         model = KTransformer(config, draw_weights=False)
     except (MemoryError, ValueError) as e:  # numpy refuses arrays beyond the address space or index range
@@ -407,8 +418,6 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
         raise CheckpointError(f"checkpoint manifest is not what save_checkpoint writes for its contents: {where} differs")
 
     layout = _layout(params, state)
-    if sum(arr.nbytes for _, arr in layout) != len(buffer):
-        raise CheckpointError(f"checkpoint buffer length {len(buffer)} does not match its manifest")
     # every buffer has the model's dtype (AdamState insists on one), so the file is one float array
     values = np.frombuffer(buffer, dtype=_dtype_code(model.dtype))
     finite = np.isfinite(values)
@@ -443,10 +452,14 @@ def corpus_greedy_bleu(
 
 @dataclass
 class LogRow:
+    """One training step: ``grad_norm`` is the pre-clip global L2 norm of its
+    gradients, which ``train_log.csv`` does not hold."""
+
     step: int
     loss: float
     val_bleu: float | None
     wall_ms: float
+    grad_norm: float
 
 
 def _log_line(row: LogRow) -> str:
@@ -652,8 +665,8 @@ def train(
     its finiteness check, clipping, Adam, validation and checkpoints stay in
     this process. A step's memory is freed as soon as it is dead: its
     activations when ``backward`` returns (in both processes), its
-    gradients once Adam has copied them, so validation, checkpoints and
-    the next step's forward run without them. The C library's malloc is
+    gradients once ``adam_step`` has copied them, so validation, checkpoints
+    and the next step's forward run without them. The C library's malloc is
     set to keep what a step frees for the next one (``_keep_freed_memory``).
 
     Writes train_log.csv (append-only), best.ckpt at each validation
@@ -709,14 +722,8 @@ def train(
                 loss_val = float(scale(sum_all(Tensor(values)), 1.0 / b).data)
                 if not math.isfinite(loss_val):
                     raise DivergenceError(f"non-finite loss at step {step}; last good parameters kept in {final_path}")
-                grads: dict[str, np.ndarray] = {}
-                for name, p in params.items():
-                    grads[name] = p.grad if p.grad is not None else np.zeros_like(p.data)
-                    p.grad = None
-                clip_global_norm(grads, config.grad_clip)
                 lr_scale = min(1.0, step / config.warmup_steps) if config.warmup_steps > 0 else 1.0
-                adam_step(params, grads, state, lr_scale=lr_scale)
-                del grads  # copied into the state; not held through validation and the next step
+                grad_norm = adam_step(params, state, lr_scale=lr_scale, grad_clip=config.grad_clip)
 
                 val = None
                 if config.val_interval > 0 and step % config.val_interval == 0 and val_corpus is not None:
@@ -724,7 +731,8 @@ def train(
                     if val is not None and val >= best:
                         best = val
                         save_checkpoint(model, out_dir / "best.ckpt", state=state, **meta)
-                row = LogRow(step=step, loss=loss_val, val_bleu=val, wall_ms=(time.perf_counter() - t0) * 1000.0)
+                wall_ms = (time.perf_counter() - t0) * 1000.0
+                row = LogRow(step=step, loss=loss_val, val_bleu=val, wall_ms=wall_ms, grad_norm=grad_norm)
                 log.append(row)
                 log_file.write(_log_line(row))
                 log_file.flush()

@@ -393,7 +393,9 @@ def test_ac7_determinism_checkpoints_and_report(tmp_path):
     params = model.parameters()
     state = AdamState(params, lr=1e-3)
     rng = np.random.default_rng(0)
-    adam_step(params, {n: rng.normal(size=p.data.shape) for n, p in params.items()}, state)
+    for p in params.values():
+        p.grad = rng.normal(size=p.data.shape)
+    adam_step(params, state)
     ck = tmp_path / "rt.ckpt"
     save_checkpoint(model, ck, state=state, vocab_src=vs, vocab_tgt=vt,
                     profile_src="space_tokenized", profile_tgt="space_tokenized")

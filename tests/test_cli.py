@@ -2,8 +2,13 @@
 byte-level determinism of outputs."""
 
 import csv
+import json
 import math
 import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -407,6 +412,54 @@ def test_translate_malformed_manifest_is_data_error(workdir, capsys, edit):
     assert rc == EXIT_DATA
     assert capsys.readouterr().err.startswith("data error:")
     assert not out.exists()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="caps the child's address space with RLIMIT_AS")
+@pytest.mark.parametrize(
+    "edit, reason",
+    [
+        # once built layer by layer until the process was killed
+        pytest.param(
+            lambda m: {**m, "model_config": {**m["model_config"], "layers_enc": 2**40}},
+            "its model configuration implies",
+            id="layers-enc-2-40",
+        ),
+        # once loaded as version 1, since True == 1
+        pytest.param(lambda m: {**m, "format_version": True}, "format version True", id="format-version-true"),
+    ],
+)
+def test_translate_crafted_checkpoint_exits_3_in_bounded_memory(workdir, edit, reason):
+    # the benchmark fixture with one manifest value edited and its payload and
+    # hash left valid, translated by a separate process whose address space is
+    # capped at 3 GB, so an unbounded allocation fails here instead of
+    # exhausting the machine; the huge model is refused by arithmetic, before
+    # anything is built
+    import resource
+
+    repo = Path(__file__).resolve().parents[1]
+    raw = (repo / "bench" / "fixtures" / "copy_d64h4_both.ckpt").read_bytes()
+    (mlen,) = struct.unpack("<Q", raw[8:16])
+    blob = json.dumps(edit(json.loads(raw[16 : 16 + mlen]))).encode("utf-8")
+    path = workdir / "crafted.ckpt"
+    path.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + mlen :])
+    (workdir / "in.txt").write_text("a b\n", encoding="utf-8")
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    run = subprocess.run(
+        [sys.executable, "-m", "ktransformer.cli", "translate", "--checkpoint", str(path), "--input", "in.txt",
+         "--output", "out.txt"],
+        cwd=workdir,
+        env={**os.environ, "PYTHONPATH": str(repo / "src")},
+        preexec_fn=cap_address_space,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert run.returncode == EXIT_DATA, run.stderr
+    assert run.stderr.startswith("data error:") and reason in run.stderr and "Traceback" not in run.stderr, run.stderr
+    assert not (workdir / "out.txt").exists()
 
 
 def test_translate_non_finite_checkpoint_is_data_error(workdir, capsys):

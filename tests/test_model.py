@@ -71,6 +71,19 @@ def test_config_dict_round_trip():
     assert again == cfg
 
 
+def test_parameter_count_is_the_built_models_size():
+    # load_checkpoint checks a payload's length against this count before it
+    # builds anything, so the count must follow the constructors
+    import itertools
+
+    grid = itertools.product((8, 12), (1, 2, 4), (1, 3), (1, 2), (3, 16), (4, 11), (5, 9))
+    for d_model, heads, layers_enc, layers_dec, d_ff, vocab_src, vocab_tgt in grid:
+        cfg = small_config(d_model=d_model, heads=heads, layers_enc=layers_enc, layers_dec=layers_dec, d_ff=d_ff,
+                           vocab_src=vocab_src, vocab_tgt=vocab_tgt)
+        built = KTransformer(cfg, draw_weights=False).parameters()
+        assert cfg.parameter_count() == sum(p.data.size for p in built.values()), cfg
+
+
 # ------------------------------------------------------------ cluster bias
 
 

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import struct
 import sys
@@ -34,6 +35,13 @@ def single_param(value, lr=0.1):
     return p, AdamState(p, lr=lr)
 
 
+def step_with(params, grads, state, **kw):
+    """``adam_step`` with ``grads`` handed over as the parameters' ``grad``."""
+    for name, g in grads.items():
+        params[name].grad = g
+    return adam_step(params, state, **kw)
+
+
 def tiny_model(**kw):
     base = dict(
         vocab_src=10,
@@ -57,14 +65,14 @@ def tiny_model(**kw):
 def test_zero_gradient_leaves_parameter_unchanged():
     params, state = single_param([1.0, -2.0])
     before = params["w"].data.copy()
-    adam_step(params, {"w": np.zeros(2)}, state)
+    step_with(params, {"w": np.zeros(2)}, state)
     assert np.array_equal(params["w"].data, before)
     assert state.t == 1
 
 
 def test_first_step_moves_by_lr_times_sign():
     params, state = single_param([0.0, 0.0], lr=0.1)
-    adam_step(params, {"w": np.array([0.5, -3.0])}, state)
+    step_with(params, {"w": np.array([0.5, -3.0])}, state)
     # bias correction makes the first update exactly lr * g/(|g| + eps')
     assert np.allclose(params["w"].data, [-0.1, 0.1], atol=1e-6)
 
@@ -75,7 +83,7 @@ def test_quadratic_descends_in_five_steps():
     for _ in range(5):
         w = float(params["w"].data[0])
         losses.append(w * w)
-        adam_step(params, {"w": np.array([2.0 * w])}, state)
+        step_with(params, {"w": np.array([2.0 * w])}, state)
     w = float(params["w"].data[0])
     assert w * w < losses[0]
     assert losses == sorted(losses, reverse=True)
@@ -84,7 +92,7 @@ def test_quadratic_descends_in_five_steps():
 def test_lr_zero_is_identity_but_still_counts():
     params, state = single_param([1.0, 2.0], lr=0.0)
     before = params["w"].data.copy()
-    adam_step(params, {"w": np.array([5.0, -5.0])}, state)
+    step_with(params, {"w": np.array([5.0, -5.0])}, state)
     assert np.array_equal(params["w"].data, before)
     assert state.t == 1
     assert np.any(state.m["w"] != 0.0)  # moments still track the gradient
@@ -100,8 +108,8 @@ def test_lr_scale_applies_warmup_fraction():
     pa, sa = single_param([1.0], lr=0.1)
     pb, sb = single_param([1.0], lr=0.05)
     g = {"w": np.array([2.0])}
-    adam_step(pa, dict(g), sa, lr_scale=0.5)
-    adam_step(pb, dict(g), sb, lr_scale=1.0)
+    step_with(pa, dict(g), sa, lr_scale=0.5)
+    step_with(pb, dict(g), sb, lr_scale=1.0)
     assert np.allclose(pa["w"].data, pb["w"].data, atol=1e-12)
 
 
@@ -115,7 +123,7 @@ def test_numpy_lr_scale_keeps_parameter_dtype(precision):
         params = model.parameters()
         state = AdamState(params, lr=0.01)
         grads = {name: np.full(p.data.shape, 0.25, dtype=p.data.dtype) for name, p in params.items()}
-        adam_step(params, grads, state, lr_scale=lr_scale)
+        step_with(params, grads, state, lr_scale=lr_scale)
         assert all(p.data.dtype == model.dtype for p in params.values())
         model.encode(np.array([4, 5, 6]))
         runs.append(b"".join(p.data.tobytes() for p in params.values()))
@@ -126,7 +134,7 @@ def test_nonfinite_gradient_rejected_before_mutation():
     params, state = single_param([1.0, 2.0])
     before = params["w"].data.copy()
     with pytest.raises(DivergenceError):
-        adam_step(params, {"w": np.array([np.nan, 0.0])}, state)
+        step_with(params, {"w": np.array([np.nan, 0.0])}, state)
     assert np.array_equal(params["w"].data, before)
     assert state.t == 0
     assert np.all(state.m["w"] == 0.0)
@@ -137,7 +145,7 @@ def test_nonfinite_gradient_rejected_before_mutation():
     params = model.parameters()
     state = AdamState(params, lr=0.01)
     rng = np.random.default_rng(3)
-    adam_step(params, {n: rng.normal(size=p.data.shape) for n, p in params.items()}, state)
+    step_with(params, {n: rng.normal(size=p.data.shape) for n, p in params.items()}, state)
     names = list(params)
     middle = names[len(names) // 2]
     grads = {n: rng.normal(size=p.data.shape) for n, p in params.items()}
@@ -145,60 +153,82 @@ def test_nonfinite_gradient_rejected_before_mutation():
     grads[names[-1]].flat[0] = np.nan  # a later tensor is not the one named
     snapshot = {n: (p.data.tobytes(), state.m[n].tobytes(), state.v[n].tobytes()) for n, p in params.items()}
     with pytest.raises(DivergenceError, match=f"non-finite gradient for '{middle}'"):
-        adam_step(params, grads, state)
+        step_with(params, grads, state)
     assert state.t == 1
     assert {n: (p.data.tobytes(), state.m[n].tobytes(), state.v[n].tobytes()) for n, p in params.items()} == snapshot
 
 
+def _clip_per_tensor(grads, cap):
+    """The oracle of the flat clip: each tensor's float64 sum of squares,
+    added in order, and each tensor scaled by cap/norm when the norm exceeds
+    cap. Returns the norm and the clipped gradients."""
+    total = 0.0
+    for g in grads.values():
+        total += float((g.astype(np.float64) ** 2).sum())
+    norm = math.sqrt(total)
+    if cap > 0 and norm > cap:
+        grads = {name: g * (cap / norm) for name, g in grads.items()}
+    return norm, grads
+
+
 @pytest.mark.parametrize("precision", ["f32", "f64"])
 def test_flat_adam_matches_per_tensor_formula(precision):
-    # five steps under warmup, one parameter rebound between steps, against
-    # the per-tensor update applied tensor by tensor: byte for byte, with
-    # every parameter ending as a view into the state's one flat buffer
-    model = tiny_model(precision=precision)
-    params = model.parameters()
-    assert any(p.data.ndim == 0 for p in params.values())  # the cluster gates
-    state = AdamState(params, lr=0.01)
-    want = {n: p.data.copy() for n, p in params.items()}
-    m = {n: np.zeros_like(w) for n, w in want.items()}
-    v = {n: np.zeros_like(w) for n, w in want.items()}
-    rng = np.random.default_rng(5)
-    for t in range(1, 6):
-        if t == 3:
-            model.tgt_embed.data = model.tgt_embed.data * 0.5
-            want["tgt_embed"] = want["tgt_embed"] * 0.5
-        grads = {n: rng.normal(size=p.data.shape).astype(p.data.dtype) for n, p in params.items()}
-        lr_scale = min(1.0, t / 4)
-        adam_step(params, grads, state, lr_scale=lr_scale)
-        bc1, bc2, lr = 1.0 - 0.9**t, 1.0 - 0.999**t, 0.01 * lr_scale
-        for name in want:
-            g = grads[name]
-            m[name] *= 0.9
-            m[name] += (1.0 - 0.9) * g
-            v[name] *= 0.999
-            v[name] += (1.0 - 0.999) * (g * g)
-            want[name] = want[name] - lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + 1e-8)
-        for name, p in params.items():
-            assert p.data.dtype == model.dtype
-            assert p.data.tobytes() == want[name].tobytes(), (t, name)
-            assert state.m[name].tobytes() == m[name].tobytes() and state.v[name].tobytes() == v[name].tobytes()
-    flat = state.flat_params
-    assert all(np.shares_memory(p.data, flat) for p in params.values())
-    assert flat.tobytes() == b"".join(p.data.tobytes() for p in params.values())
+    # five steps under warmup, one parameter rebound between steps and one
+    # gradient None, unclipped and clipped at every step, against the
+    # per-tensor clip and update applied tensor by tensor: norms, parameters
+    # and moments byte for byte, with every parameter ending as a view into
+    # the state's one flat buffer
+    for cap in (0.0, 0.5):
+        model = tiny_model(precision=precision)
+        params = model.parameters()
+        assert any(p.data.ndim == 0 for p in params.values())  # the cluster gates
+        state = AdamState(params, lr=0.01)
+        want = {n: p.data.copy() for n, p in params.items()}
+        m = {n: np.zeros_like(w) for n, w in want.items()}
+        v = {n: np.zeros_like(w) for n, w in want.items()}
+        rng = np.random.default_rng(5)
+        for t in range(1, 6):
+            if t == 3:
+                model.tgt_embed.data = model.tgt_embed.data * 0.5
+                want["tgt_embed"] = want["tgt_embed"] * 0.5
+            grads = {n: rng.normal(size=p.data.shape).astype(p.data.dtype) for n, p in params.items()}
+            grads["enc0.ffn.b1"] = None  # no gradient reached it: Adam sees zeros
+            lr_scale = min(1.0, t / 4)
+            norm = step_with(params, grads, state, lr_scale=lr_scale, grad_clip=cap)
+            assert all(p.grad is None for p in params.values())
+            grads["enc0.ffn.b1"] = np.zeros_like(want["enc0.ffn.b1"])
+            want_norm, grads = _clip_per_tensor(grads, cap)
+            assert norm == want_norm and (cap == 0 or norm > cap)
+            bc1, bc2, lr = 1.0 - 0.9**t, 1.0 - 0.999**t, 0.01 * lr_scale
+            for name in want:
+                g = grads[name]
+                m[name] *= 0.9
+                m[name] += (1.0 - 0.9) * g
+                v[name] *= 0.999
+                v[name] += (1.0 - 0.999) * (g * g)
+                want[name] = want[name] - lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + 1e-8)
+            for name, p in params.items():
+                assert p.data.dtype == model.dtype
+                assert p.data.tobytes() == want[name].tobytes(), (cap, t, name)
+                assert state.m[name].tobytes() == m[name].tobytes() and state.v[name].tobytes() == v[name].tobytes()
+        flat = state.flat_params
+        assert all(np.shares_memory(p.data, flat) for p in params.values())
+        assert flat.tobytes() == b"".join(p.data.tobytes() for p in params.values())
 
 
 def test_gradient_name_mismatch_rejected():
+    # the gradients come with the parameters, whose names must be the state's
     params, state = single_param([1.0])
-    with pytest.raises(ValueError):
-        adam_step(params, {"other": np.zeros(1)}, state)
-    with pytest.raises(ValueError):
-        adam_step(params, {}, state)
+    with pytest.raises(ValueError, match="do not match the optimizer state"):
+        adam_step({"other": params["w"]}, state)
+    with pytest.raises(ValueError, match="do not match the optimizer state"):
+        adam_step({}, state)
 
 
 def test_gradient_shape_mismatch_rejected():
     params, state = single_param([1.0, 2.0])
     with pytest.raises(ValueError):
-        adam_step(params, {"w": np.zeros(3)}, state)
+        step_with(params, {"w": np.zeros(3)}, state)
 
 
 def test_adam_matches_reference_formula():
@@ -211,7 +241,7 @@ def test_adam_matches_reference_formula():
     w = w0.copy()
     for t in range(1, 6):
         g = rng.normal(size=4)
-        adam_step(params, {"w": g.copy()}, state)
+        step_with(params, {"w": g.copy()}, state)
         m = 0.9 * m + 0.1 * g
         v = 0.999 * v + 0.001 * g * g
         mhat = m / (1 - 0.9**t)
@@ -224,27 +254,25 @@ def test_adam_matches_reference_formula():
 
 
 def test_clip_noop_below_cap():
-    g = {"a": np.array([0.3, 0.4])}  # norm 0.5
-    norm = clip_global_norm(g, 1.0)
+    g = np.array([0.3, 0.4])  # norm 0.5
+    norm = clip_global_norm(g, [0, 2], 1.0)
     assert abs(norm - 0.5) < 1e-12
-    assert np.array_equal(g["a"], [0.3, 0.4])
+    assert np.array_equal(g, [0.3, 0.4])
 
 
 def test_clip_rescales_to_cap_preserving_direction():
-    g = {"a": np.array([3.0, 0.0]), "b": np.array([4.0])}  # norm 5
-    norm = clip_global_norm(g, 1.0)
+    g = np.array([3.0, 0.0, 4.0])  # tensors [3, 0] and [4]: norm 5
+    norm = clip_global_norm(g, [0, 2, 3], 1.0)
     assert abs(norm - 5.0) < 1e-12
-    total = np.sqrt(sum(float((x * x).sum()) for x in g.values()))
-    assert abs(total - 1.0) < 1e-12
-    assert np.allclose(g["a"], [0.6, 0.0], atol=1e-12)
-    assert np.allclose(g["b"], [0.8], atol=1e-12)
+    assert abs(np.sqrt(float((g * g).sum())) - 1.0) < 1e-12
+    assert np.allclose(g, [0.6, 0.0, 0.8], atol=1e-12)
 
 
 def test_clip_zero_cap_disables():
-    g = {"a": np.array([30.0, 40.0])}
-    norm = clip_global_norm(g, 0.0)
+    g = np.array([30.0, 40.0])
+    norm = clip_global_norm(g, [0, 2], 0.0)
     assert abs(norm - 50.0) < 1e-12
-    assert np.array_equal(g["a"], [30.0, 40.0])
+    assert np.array_equal(g, [30.0, 40.0])
 
 
 # ------------------------------------------------------------ checkpoints
@@ -257,7 +285,7 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(1)
     for _ in range(3):
         grads = {n: rng.normal(size=p.data.shape) for n, p in params.items()}
-        adam_step(params, grads, state)
+        step_with(params, grads, state)
     path = tmp_path / "model.ckpt"
     from ktransformer.corpus import Vocabulary
 
@@ -357,21 +385,22 @@ def _edit_adam(m, **changes):
             "init_seed and cluster_seed must be nonnegative",
             id="config-negative-cluster-seed",
         ),
-        # sizes whose arrays exceed the 128 TiB address space, so numpy refuses them without touching a page
+        # parameter counts that the payload cannot hold, rejected before anything is built
         pytest.param(
             lambda m: {**m, "model_config": {**m["model_config"], "vocab_src": 10**13}},
-            "too large to build",
+            "buffer holds 39648 bytes, its model configuration implies",
             id="config-huge-vocab",
         ),
+        # a positional table beyond the 128 TiB address space, which numpy refuses without touching a page
         pytest.param(
             lambda m: {**m, "model_config": {**m["model_config"], "max_len": 10**17}},
             "too large to build",
             id="config-huge-max-len",
         ),
-        # past numpy's index range, where it raises ValueError rather than MemoryError
+        # past numpy's index range, which only arithmetic on Python ints can count
         pytest.param(
             lambda m: {**m, "model_config": {**m["model_config"], "vocab_src": 10**19}},
-            "too large to build",
+            "buffer holds 39648 bytes, its model configuration implies",
             id="config-vocab-past-index-range",
         ),
         pytest.param(lambda m: {**m, "params": [{}] + m["params"][1:]}, r"params\[0\] \('src_embed'\)", id="param-empty"),
@@ -417,7 +446,7 @@ def test_saving_a_loaded_checkpoint_rewrites_it_byte_for_byte(tmp_path):
     state = AdamState(params, lr=0.01)
     rng = np.random.default_rng(2)
     for _ in range(3):
-        adam_step(params, {n: rng.normal(size=p.data.shape) for n, p in params.items()}, state)
+        step_with(params, {n: rng.normal(size=p.data.shape) for n, p in params.items()}, state)
     own = tmp_path / "f64.ckpt"
     save_checkpoint(model, own, state=state, vocab_src=Vocabulary(["a", "b"]), vocab_tgt=Vocabulary(["é"]),
                     profile_src="space_tokenized", profile_tgt="char_tokenized")
@@ -575,7 +604,7 @@ def test_streamed_save_writes_the_joined_payloads_bytes(tmp_path, with_state):
     state = AdamState(params, lr=0.01) if with_state else None
     rng = np.random.default_rng(3)
     if state is not None:
-        adam_step(params, {n: rng.normal(size=p.data.shape) for n, p in params.items()}, state)
+        step_with(params, {n: rng.normal(size=p.data.shape) for n, p in params.items()}, state)
     wide = np.zeros((params["out_proj"].data.shape[0], 2 * params["out_proj"].data.shape[1]), dtype=np.float32)
     wide[:, ::2] = params["out_proj"].data
     params["out_proj"].data = wide[:, ::2]
@@ -728,12 +757,11 @@ def test_train_nan_gradient_aborts_with_last_good_state(tmp_path, monkeypatch):
     corpus, vs, vt, model, kw = _quick_setup(steps=8)
     calls = []
 
-    def clip_then_poison(grads, cap):
-        norm = clip_global_norm(grads, cap)
+    def clip_then_poison(flat, bounds, cap):
+        norm = clip_global_norm(flat, bounds, cap)
         calls.append(norm)
         if len(calls) == 3:
-            name = next(iter(grads))
-            grads[name] = np.full_like(grads[name], np.nan)
+            flat[bounds[0] : bounds[1]] = np.nan  # the first tensor's gradient
         return norm
 
     monkeypatch.setattr("ktransformer.trainer.clip_global_norm", clip_then_poison)
@@ -754,11 +782,11 @@ def test_train_interrupt_leaves_last_completed_step(tmp_path, monkeypatch):
     corpus, vs, vt, model, kw = _quick_setup(steps=8)
     calls = []
 
-    def clip_then_interrupt(grads, cap):
+    def clip_then_interrupt(flat, bounds, cap):
         calls.append(cap)
         if len(calls) == 3:
             raise KeyboardInterrupt
-        return clip_global_norm(grads, cap)
+        return clip_global_norm(flat, bounds, cap)
 
     monkeypatch.setattr("ktransformer.trainer.clip_global_norm", clip_then_interrupt)
     with pytest.raises(KeyboardInterrupt):
@@ -849,15 +877,15 @@ def _golden_run(tmp_path, precision):
     seen = []
     real_adam_step = trainer.adam_step
 
-    def recording_adam_step(params, grads, state, lr_scale=1.0):
+    def recording_adam_step(params, state, lr_scale=1.0, grad_clip=0.0):
         if not seen:
             h = hashlib.sha256()
-            for name in params:
-                g = np.asarray(grads[name])
+            for name, p in params.items():
+                g = np.asarray(p.grad if p.grad is not None else np.zeros_like(p.data))
                 h.update(f"{name}:{g.dtype.str}:{g.shape}".encode())
                 h.update(np.ascontiguousarray(g).tobytes())
             seen.append(h.hexdigest())
-        return real_adam_step(params, grads, state, lr_scale=lr_scale)
+        return real_adam_step(params, state, lr_scale=lr_scale, grad_clip=grad_clip)
 
     trainer.adam_step = recording_adam_step
     try:
@@ -1081,6 +1109,33 @@ def test_split_batches_train_bit_for_bit_as_one_process(tmp_path, monkeypatch, b
     assert runs[0] == runs[1]
 
 
+def test_log_rows_keep_each_steps_pre_clip_norm(tmp_path, monkeypatch):
+    # a row's grad_norm is the norm of that step's raw gradients, taken before
+    # the default cap clips them, and a split run logs the same values
+    from ktransformer import trainer
+
+    corpus, _, vs, vt = _split_task()
+    real_adam_step = trainer.adam_step
+    runs = []
+    for cpus in (1, 2):
+        _force_split(monkeypatch, cpus)
+        raw = []
+
+        def recording_adam_step(params, state, lr_scale=1.0, grad_clip=0.0):
+            grads = {n: p.grad if p.grad is not None else np.zeros_like(p.data) for n, p in params.items()}
+            raw.append(_clip_per_tensor(grads, 0.0)[0])
+            return real_adam_step(params, state, lr_scale=lr_scale, grad_clip=grad_clip)
+
+        monkeypatch.setattr(trainer, "adam_step", recording_adam_step)
+        model = tiny_model(vocab_src=len(vs), vocab_tgt=len(vt), layers_enc=2, dropout=0.1, cluster_mode="both")
+        cfg = TrainConfig(out_dir=str(tmp_path / f"cpus{cpus}"), lr=3e-3, max_steps=6, batch_size=8, seed=0)
+        rows = train(model, corpus, vs, vt, cfg)
+        assert [r.grad_norm for r in rows] == raw
+        assert any(norm > cfg.grad_clip for norm in raw)  # clipping was active
+        runs.append(raw)
+    assert runs[0] == runs[1]
+
+
 @pytest.mark.parametrize("ending", ["return", "divergence", "failed_save"])
 def test_helper_is_reaped_however_train_ends(tmp_path, monkeypatch, ending):
     from ktransformer import trainer
@@ -1197,9 +1252,9 @@ def test_train_frees_each_steps_tape_and_gradients(tmp_path, monkeypatch, cpus):
         assert held
         return tape, losses, loss
 
-    def watched_adam_step(params, grads, state, lr_scale=1.0):
-        held.extend(weakref.ref(g) for g in grads.values() if isinstance(g, np.ndarray))
-        return real_adam_step(params, grads, state, lr_scale=lr_scale)
+    def watched_adam_step(params, state, lr_scale=1.0, grad_clip=0.0):
+        held.extend(weakref.ref(p.grad) for p in params.values() if isinstance(p.grad, np.ndarray))
+        return real_adam_step(params, state, lr_scale=lr_scale, grad_clip=grad_clip)
 
     def watched_bleu(*args):
         assert_freed("validation")
