@@ -34,6 +34,7 @@ from .corpus import (
 )
 from .metrics import BucketRow, corpus_bleu, length_bucket_report
 from .model import CLUSTER_MODES, KTransformer
+from .tensor import dtype_of
 from .trainer import CheckpointError, DivergenceError, load_checkpoint, train
 
 EXIT_OK = 0
@@ -121,17 +122,25 @@ def cmd_train(args) -> int:
     if cfg.val_interval > 0 and cfg.val_fraction == 0.0:
         raise ConfigError(f"val_interval = {cfg.val_interval} validates on no pairs with val_fraction = 0")
     train_config = cfg.to_train_config(out_dir)  # validated before anything is written
+    vocab_src = Vocabulary.load(cfg.vocab_src)
+    vocab_tgt = Vocabulary.load(cfg.vocab_tgt)
+    model_config = cfg.to_model_config(len(vocab_src), len(vocab_tgt))
+    needed = 4 * model_config.parameter_count() * np.dtype(dtype_of(model_config.precision)).itemsize
+    if hasattr(os, "sysconf") and needed > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        raise ConfigError(f"the model's parameters, gradients and Adam moments need {needed} bytes, more than "
+                          "this machine's physical memory")  # checked before anything is built
 
     corpus = ParallelCorpus.from_token_files(
         cfg.train_src, cfg.train_tgt, profile_src=cfg.profile_src, profile_tgt=cfg.profile_tgt
     )
-    vocab_src = Vocabulary.load(cfg.vocab_src)
-    vocab_tgt = Vocabulary.load(cfg.vocab_tgt)
     train_corpus, val_corpus = _split_validation(corpus, cfg.val_fraction, cfg.seed, cfg.val_interval > 0)
     if not retained_indices(train_corpus, cfg.max_len):
         raise DataError(f"corpus empty after filtering to lengths 1..{cfg.max_len}")
 
-    model = KTransformer(cfg.to_model_config(len(vocab_src), len(vocab_tgt)))
+    try:
+        model = KTransformer(model_config)
+    except MemoryError as e:  # within the machine's memory, beyond what this process may allocate
+        raise ConfigError(f"the model is too large to build: {e}") from e
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config_resolved.cfg").write_text(cfg.serialize(), encoding="utf-8")
     log = train(model, train_corpus, vocab_src, vocab_tgt, train_config, val_corpus)

@@ -71,6 +71,10 @@ CLUSTER_MODES = ("off", "same_cluster", "centroid_affinity", "both")
 # taken in order of source length so each batch's sentences end together.
 DECODE_BATCH = 64
 
+# Largest max_len a configuration may set; a checkpoint's payload does not
+# bound it, as the positional table is rebuilt. Every recipe uses 50 or less.
+MAX_LEN_LIMIT = 1024
+
 
 @dataclass
 class ModelConfig:
@@ -100,6 +104,8 @@ class ModelConfig:
             raise ValueError(f"d_model {self.d_model} must divide evenly into {self.heads} heads")
         if self.d_ff < 1 or self.layers_enc < 1 or self.layers_dec < 1 or self.max_len < 1:
             raise ValueError("d_ff, layer counts, and max_len must be positive")
+        if self.max_len > MAX_LEN_LIMIT:
+            raise ValueError(f"max_len must be at most {MAX_LEN_LIMIT}, got {self.max_len}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.clusters_k < 1:

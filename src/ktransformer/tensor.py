@@ -149,7 +149,8 @@ class GradientTape:
 
 def _carried(fold: Callable[[np.ndarray | None], np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
     """``fold(first)``, with ``first`` the total that the carry of the sweep
-    in progress takes (None without one), and its result given on."""
+    in progress takes (None without one), and its result given on; the
+    result is a new array, as the carry may reuse ``first``'s memory."""
     carry = _sweep_carry
     if carry is None:
         return fold(None)

@@ -4,11 +4,11 @@ and a self-contained binary checkpoint format.
 
 On a host with two or more CPUs, ``train`` splits each large enough batch
 with one forked helper process: the helper runs the batch's last sentences
-and hands its fold totals and losses over through shared memory, with two
-kinds of event per step: ``F`` for each fold total of its backward sweep and
-``D`` once the sweep is over and its losses are in place. Both processes'
-tapes hold the helper as their carry (see ``tensor.GradientTape``), so every
-float is the one a single process computes.
+and hands over its fold totals, in ``AdamState.flat_grads``, and its losses
+through shared memory, with two kinds of event per step: ``F`` for each fold
+total of its backward sweep and ``D`` once the sweep is over and its losses
+are in place. Both processes' tapes hold the helper as their carry (see
+``tensor.GradientTape``), so every float is the one a single process computes.
 
 Checkpoint layout: an 8-byte magic, a little-endian u64 manifest length, the
 JSON manifest that ``_manifest`` describes, then the row-major little-endian
@@ -102,11 +102,13 @@ class AdamState:
     The state owns one flat buffer each for the parameters, their gradients,
     m and v (``flat_params``, ``flat_grads``, ``flat_m``, ``flat_v``), laid
     out in ``params`` order (tensor i at ``[bounds[i], bounds[i + 1])``),
-    and one scratch buffer of the same size, all in the parameters' one
-    dtype. ``m``, ``v`` and ``grad_views`` map names to views into them. The
-    parameter buffer is anonymous shared memory, which a forked process
-    shares, and from construction on each parameter's ``data`` is its view
-    in ``param_views``, holding the value it had."""
+    in the parameters' one dtype; no other parameter-sized buffer stays.
+    ``m``, ``v`` and ``grad_views`` map names to views into them. The
+    parameters and gradients are anonymous shared memory, which a forked
+    process shares; from construction on each parameter's ``data`` is its
+    view in ``param_views``, holding the value it had. A split step's helper
+    writes its fold totals into ``flat_grads`` before ``adam_step`` fills it
+    (``_Helper``)."""
 
     def __init__(self, params: dict[str, Tensor], lr: float = 3e-4):
         # lr 0 is allowed here and makes the update an identity; TrainConfig
@@ -120,8 +122,8 @@ class AdamState:
         self.lr = lr
         self.t = 0
         self.bounds = bounds = np.cumsum([0] + [p.data.size for p in params.values()]).tolist()
-        self.flat_params = _shared_zeros(bounds[-1], np.dtype(dtype))
-        self.flat_grads, self.flat_m, self.flat_v, self.scratch = (np.zeros(bounds[-1], dtype=dtype) for _ in range(4))
+        self.flat_params, self.flat_grads = (_shared_zeros(bounds[-1], np.dtype(dtype)) for _ in range(2))
+        self.flat_m, self.flat_v = (np.zeros(bounds[-1], dtype=dtype) for _ in range(2))
 
         def views(flat: np.ndarray) -> dict[str, np.ndarray]:
             return {
@@ -193,7 +195,7 @@ def adam_step(params: dict[str, Tensor], state: AdamState, lr_scale: float = 1.0
     bc1 = 1.0 - ADAM_BETA1 ** state.t
     bc2 = 1.0 - ADAM_BETA2 ** state.t
     lr = state.lr * float(lr_scale)  # a numpy scalar would promote f32 parameters
-    m, v, s = state.flat_m, state.flat_v, state.scratch
+    m, v, s = state.flat_m, state.flat_v, np.empty_like(g)  # s: scratch, from what the step's tape freed
     m *= ADAM_BETA1
     m += np.multiply(g, 1.0 - ADAM_BETA1, out=s)
     v *= ADAM_BETA2
@@ -536,12 +538,16 @@ class _Helper:
     step's number down a second pipe, after it has written that step's
     parameters; the helper waits on a blocking read for it. In the main
     process this carry takes each fold's starting total from the helper
-    (``take``); in the helper it gives them (``give``)."""
+    (``take``); in the helper it gives them (``give``). The totals go into
+    ``AdamState.flat_grads`` in tape order, the losses into a buffer of their
+    own: the main process has taken every ``F`` and the ``D`` before
+    ``adam_step`` writes the gradients there, and the helper writes again only
+    after the next ``go``. Each fold returns a new array (``tensor._carried``),
+    so no view of the buffer outlives its fold."""
 
-    def __init__(self, params: dict[str, Tensor], batch_size: int, dtype: np.dtype):
-        # one fold per shared parameter, each of its shape
-        self.capacity = sum(p.data.size for p in params.values())
-        self.shared = _shared_zeros(self.capacity + batch_size, dtype)
+    def __init__(self, totals: np.ndarray, batch_size: int):
+        self.totals = totals
+        self.shared_losses = _shared_zeros(batch_size, totals.dtype)
         self.go_r, self.go_w = os.pipe()
         self.events_r, self.events_w = os.pipe()
         self.pid: int | None = None  # the helper's, in the main process until it is reaped
@@ -601,7 +607,7 @@ class _Helper:
     def losses(self, n: int) -> np.ndarray:
         """Block until the helper's step is done, then its ``n`` losses."""
         self.expect(b"D")
-        return self.shared[self.capacity : self.capacity + n].copy()
+        return self.shared_losses[:n].copy()
 
     def take(self, shape: tuple[int, ...]) -> np.ndarray | None:
         if self.in_helper:
@@ -630,7 +636,7 @@ class _Helper:
             backward(loss, tape)
             for p in params.values():
                 p.grad = None
-            self.shared[self.capacity : self.capacity + b - h] = losses.data
+            self.shared_losses[: b - h] = losses.data
             os.write(self.events_w, b"D")
 
     def give(self, total: np.ndarray) -> None:
@@ -642,9 +648,9 @@ class _Helper:
     def _slot(self, size: int) -> np.ndarray:
         # the next fold total's place in the shared buffer
         lo, self.offset = self.offset, self.offset + size
-        if self.offset > self.capacity:
+        if self.offset > self.totals.size:
             raise RuntimeError("fold totals exceed the parameters' size")
-        return self.shared[lo : self.offset]
+        return self.totals[lo : self.offset]
 
 
 def train(
@@ -665,9 +671,9 @@ def train(
     its finiteness check, clipping, Adam, validation and checkpoints stay in
     this process. A step's memory is freed as soon as it is dead: its
     activations when ``backward`` returns (in both processes), its
-    gradients once ``adam_step`` has copied them, so validation, checkpoints
-    and the next step's forward run without them. The C library's malloc is
-    set to keep what a step frees for the next one (``_keep_freed_memory``).
+    gradients once ``adam_step`` has copied them; four parameter-sized
+    buffers stay (``AdamState``). The C library's malloc is set to keep what
+    a step frees for the next one (``_keep_freed_memory``).
 
     Writes train_log.csv (append-only), best.ckpt at each validation
     high-water mark, and final.ckpt once, when ``train`` returns or raises:
@@ -704,7 +710,7 @@ def train(
         # fork only if the largest batch would split; the helper walks its own copy of ``steps``
         widest = config.batch_size * 2 * model.config.max_len
         if _usable_cpus() >= 2 and _split_point(config.batch_size, widest, d_model) < config.batch_size:
-            helper = _Helper(params, config.batch_size, model.dtype)
+            helper = _Helper(state.flat_grads, config.batch_size)
             helper.fork(model, steps, config.seed)
         with open(out_dir / "train_log.csv", "w", encoding="utf-8") as log_file:
             log_file.write("step,loss,val_bleu,wall_ms\n")

@@ -18,6 +18,8 @@ from ktransformer.metrics import corpus_bleu
 
 from synth import make_copy_corpus
 
+REPO = Path(__file__).resolve().parents[1]
+
 
 @pytest.fixture()
 def workdir(tmp_path, monkeypatch):
@@ -302,6 +304,62 @@ def test_train_env_var_run_dir(workdir, monkeypatch):
     assert (env_dir / "final.ckpt").exists()
 
 
+def _run_capped(workdir, *args) -> subprocess.CompletedProcess:
+    """``ktransformer.cli`` with ``args``, run in ``workdir`` by a separate
+    process whose address space is capped at 3 GB."""
+    import resource
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    return subprocess.run(
+        [sys.executable, "-m", "ktransformer.cli", *args],
+        cwd=workdir,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        preexec_fn=cap_address_space,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="caps the child's address space with RLIMIT_AS")
+@pytest.mark.parametrize(
+    "setting",
+    [
+        pytest.param("layers_enc = 1000000000000", id="layers-enc-1e12"),
+        pytest.param("d_model = 1000000", id="d-model-1e6"),
+    ],
+)
+def test_train_oversized_model_exits_2_in_bounded_memory(workdir, setting):
+    # both once raised numpy's MemoryError with a traceback (exit 1); the
+    # model's size is now compared with the machine's memory before it is built
+    prep = run_preprocess(workdir)
+    cfg = workdir / "big.cfg"
+    cfg.write_text(train_cfg_lines(prep, workdir / "r") + setting + "\n", encoding="utf-8")
+    run = _run_capped(workdir, "train", "--config", str(cfg))
+    assert run.returncode == EXIT_USAGE, run.stderr
+    assert run.stderr.startswith("configuration error:") and "Adam moments need" in run.stderr, run.stderr
+    assert "Traceback" not in run.stderr
+    assert not (workdir / "r").exists()
+
+
+def test_train_model_beyond_the_address_space_is_usage_error(workdir, capsys, monkeypatch):
+    # a model within the machine's memory that this process still cannot allocate
+    from ktransformer import cli
+
+    def refuse(config):
+        raise MemoryError("Unable to allocate")
+
+    monkeypatch.setattr(cli, "KTransformer", refuse)
+    prep = run_preprocess(workdir)
+    cfg = workdir / "run.cfg"
+    cfg.write_text(train_cfg_lines(prep, workdir / "r"), encoding="utf-8")
+    assert main(["train", "--config", str(cfg)]) == EXIT_USAGE
+    assert "too large to build" in capsys.readouterr().err
+    assert not (workdir / "r").exists()
+
+
 # ------------------------------------------------------------ translate
 
 
@@ -426,37 +484,26 @@ def test_translate_malformed_manifest_is_data_error(workdir, capsys, edit):
         ),
         # once loaded as version 1, since True == 1
         pytest.param(lambda m: {**m, "format_version": True}, "format version True", id="format-version-true"),
+        # once loaded with a 1020 MB peak: the positional table is rebuilt, not stored
+        pytest.param(
+            lambda m: {**m, "model_config": {**m["model_config"], "max_len": 10**6}},
+            "max_len must be at most",
+            id="max-len-10-6",
+        ),
     ],
 )
 def test_translate_crafted_checkpoint_exits_3_in_bounded_memory(workdir, edit, reason):
     # the benchmark fixture with one manifest value edited and its payload and
     # hash left valid, translated by a separate process whose address space is
-    # capped at 3 GB, so an unbounded allocation fails here instead of
-    # exhausting the machine; the huge model is refused by arithmetic, before
-    # anything is built
-    import resource
-
-    repo = Path(__file__).resolve().parents[1]
-    raw = (repo / "bench" / "fixtures" / "copy_d64h4_both.ckpt").read_bytes()
+    # capped, so an unbounded allocation fails here instead of exhausting the
+    # machine; the huge model is refused by arithmetic, before anything is built
+    raw = (REPO / "bench" / "fixtures" / "copy_d64h4_both.ckpt").read_bytes()
     (mlen,) = struct.unpack("<Q", raw[8:16])
     blob = json.dumps(edit(json.loads(raw[16 : 16 + mlen]))).encode("utf-8")
     path = workdir / "crafted.ckpt"
     path.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + mlen :])
     (workdir / "in.txt").write_text("a b\n", encoding="utf-8")
-
-    def cap_address_space():
-        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
-
-    run = subprocess.run(
-        [sys.executable, "-m", "ktransformer.cli", "translate", "--checkpoint", str(path), "--input", "in.txt",
-         "--output", "out.txt"],
-        cwd=workdir,
-        env={**os.environ, "PYTHONPATH": str(repo / "src")},
-        preexec_fn=cap_address_space,
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    run = _run_capped(workdir, "translate", "--checkpoint", str(path), "--input", "in.txt", "--output", "out.txt")
     assert run.returncode == EXIT_DATA, run.stderr
     assert run.stderr.startswith("data error:") and reason in run.stderr and "Traceback" not in run.stderr, run.stderr
     assert not (workdir / "out.txt").exists()

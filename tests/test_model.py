@@ -10,6 +10,7 @@ from ktransformer.corpus import BOS_ID, EOS_ID, PAD_ID
 from ktransformer.model import (
     ClusterBiasParams,
     IncrementalDecoder,
+    MAX_LEN_LIMIT,
     KTransformer,
     ModelConfig,
     loss,
@@ -63,6 +64,12 @@ def test_config_validation():
         small_config(clusters_k=0).validate()
     with pytest.raises(ValueError):
         small_config(precision="f128").validate()
+
+
+def test_config_bounds_max_len():
+    small_config(max_len=MAX_LEN_LIMIT).validate()
+    with pytest.raises(ValueError, match="max_len must be at most"):
+        small_config(max_len=MAX_LEN_LIMIT + 1).validate()
 
 
 def test_config_dict_round_trip():

@@ -391,10 +391,10 @@ def _edit_adam(m, **changes):
             "buffer holds 39648 bytes, its model configuration implies",
             id="config-huge-vocab",
         ),
-        # a positional table beyond the 128 TiB address space, which numpy refuses without touching a page
+        # a positional table beyond the 128 TiB address space, refused by the bound on max_len
         pytest.param(
             lambda m: {**m, "model_config": {**m["model_config"], "max_len": 10**17}},
-            "too large to build",
+            "max_len must be at most",
             id="config-huge-max-len",
         ),
         # past numpy's index range, which only arithmetic on Python ints can count
@@ -1075,8 +1075,20 @@ def _reaped(pid: int) -> bool:
 
 @pytest.mark.parametrize("mode", ["off", "both"])
 @pytest.mark.parametrize("precision", ["f32", "f64"])
-@pytest.mark.parametrize("batch_size", [1, 3, 16])
-def test_split_batches_train_bit_for_bit_as_one_process(tmp_path, monkeypatch, batch_size, precision, mode):
+@pytest.mark.parametrize(
+    "batch_size, split_min_work",
+    [
+        pytest.param(1, 0, id="1"),
+        pytest.param(3, 0, id="3"),
+        pytest.param(16, 0, id="16"),
+        # between the widths of this task's 16- and 5-sentence batches (1920
+        # and 600), so split and unsplit steps alternate: an unsplit step's
+        # Adam update writes the buffer that the helper hands its totals in
+        pytest.param(16, 1000, id="16-alternating"),
+    ],
+)
+def test_split_batches_train_bit_for_bit_as_one_process(tmp_path, monkeypatch, batch_size, split_min_work, precision,
+                                                        mode):
     # the helper's fold totals and losses, handed over, give the one-process
     # losses and checkpoints byte for byte, with dropout on and non-zero gates
     import hashlib
@@ -1093,9 +1105,12 @@ def test_split_batches_train_bit_for_bit_as_one_process(tmp_path, monkeypatch, b
         assert any(
             rare in b.src_ids[len(b) // 2 :] and rare not in b.src_ids[: len(b) // 2] for b in batches[:steps]
         )
-    runs, forks = [], _recorded_forks(monkeypatch)
+    runs, forks, split_steps = [], _recorded_forks(monkeypatch), []
+    real_go = trainer._Helper.go
+    monkeypatch.setattr(trainer._Helper, "go", lambda helper, step: (split_steps.append(step), real_go(helper, step)))
     for cpus in (1, 2):
         _force_split(monkeypatch, cpus)
+        monkeypatch.setattr(trainer, "SPLIT_MIN_WORK", split_min_work)
         model = tiny_model(vocab_src=len(vs), vocab_tgt=len(vt), layers_enc=2, dropout=0.1, clusters_k=3,
                            cluster_mode=mode, precision=precision)
         for i, p in enumerate(p for name, p in model.parameters().items() if ".bias." in name):
@@ -1106,6 +1121,8 @@ def test_split_batches_train_bit_for_bit_as_one_process(tmp_path, monkeypatch, b
         digests = [hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ("final.ckpt", "best.ckpt")]
         runs.append((np.array([r.loss for r in rows]).tobytes(), digests))
     assert len(forks) == (0 if batch_size == 1 else 1)  # a batch of one never splits
+    if split_min_work:
+        assert split_steps == [1, 3, 5, 7]
     assert runs[0] == runs[1]
 
 
