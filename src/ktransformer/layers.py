@@ -36,6 +36,7 @@ from .tensor import (
     _layernorm_values,
     _softmax_values,
     _swap_last,
+    _wrap,
     mul,
 )
 
@@ -60,13 +61,34 @@ def positional_encoding(max_len: int, d_model: int, dtype=np.float32) -> np.ndar
     return table.astype(dtype)
 
 
-def glorot(rng: np.random.Generator | None, fan_in: int, fan_out: int, dtype=np.float32) -> np.ndarray:
-    """Glorot/Xavier uniform init for a (fan_in, fan_out) weight; zeros
-    without drawing when ``rng`` is None (the weight will be overwritten)."""
-    if rng is None:
-        return np.zeros((fan_in, fan_out), dtype=dtype)
-    limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(dtype)
+def new_parameters(dtype, size: int | None = None):
+    """``new(shape)``, which makes each new trainable tensor, zero-filled: on
+    a fresh array, or, given ``size``, on the next ``shape`` elements of one
+    buffer of ``size`` elements, which the tensor adopts as its ``data``
+    without a copy. Tensors made in ``params()`` order so lie in that buffer
+    back to back; it lives as long as one of them does."""
+    if size is None:
+        return lambda shape: _wrap(np.zeros(shape, dtype=dtype), requires_grad=True)
+    flat = np.zeros(size, dtype=dtype)
+    offset = 0
+
+    def new(shape: tuple[int, ...]) -> Tensor:
+        nonlocal offset
+        lo, offset = offset, offset + math.prod(shape)
+        return _wrap(flat[lo:offset].reshape(shape), requires_grad=True)
+
+    return new
+
+
+def glorot(rng: np.random.Generator | None, w: Tensor) -> Tensor:
+    """Draw Glorot/Xavier uniform values for the (fan_in, fan_out) weight
+    ``w`` into it and return it; without ``rng`` it is left as it is (the
+    weight will be overwritten)."""
+    if rng is not None:
+        fan_in, fan_out = w.data.shape
+        limit = math.sqrt(6.0 / (fan_in + fan_out))
+        w.data[...] = rng.uniform(-limit, limit, size=w.data.shape)
+    return w
 
 
 def dropout(x: Tensor, rate: float, uniform: np.ndarray | None = None) -> Tensor:
@@ -85,9 +107,11 @@ def dropout(x: Tensor, rate: float, uniform: np.ndarray | None = None) -> Tensor
 class LayerNormParams:
     """Learnable gain/shift for one layer-norm site."""
 
-    def __init__(self, d_model: int, dtype=np.float32):
-        self.gain = Tensor(np.ones(d_model, dtype=dtype), requires_grad=True)
-        self.shift = Tensor(np.zeros(d_model, dtype=dtype), requires_grad=True)
+    def __init__(self, d_model: int, dtype=np.float32, new=None):
+        new = new or new_parameters(dtype)
+        self.gain = new((d_model,))
+        self.gain.data[...] = 1
+        self.shift = new((d_model,))
 
     def params(self) -> dict[str, Tensor]:
         return {"gain": self.gain, "shift": self.shift}
@@ -136,19 +160,22 @@ class MultiHeadAttention:
     ``wq``, ``wk`` and ``wv`` are lists with one (d_model, d_k) projection
     per head: head i's W_i^Q is ``wq[i]``. They are drawn from ``rng`` head
     by head (head 0's wq, wk, wv, then head 1's, ...), then ``wo``, and
-    ``params`` names them ``head{i}.wq`` and so on, after ``wo``.
+    ``params`` names them ``head{i}.wq`` and so on, after ``wo``, which is
+    also made first (``new``, see ``new_parameters``).
     """
 
-    def __init__(self, rng: np.random.Generator | None, d_model: int, n_heads: int, dtype=np.float32):
+    def __init__(self, rng: np.random.Generator | None, d_model: int, n_heads: int, dtype=np.float32, new=None):
         if d_model % n_heads != 0:
             raise ValueError(f"d_model {d_model} not divisible by {n_heads} heads")
+        new = new or new_parameters(dtype)
         self.n_heads = n_heads
         self.d_k = d_model // n_heads
+        self.wo = new((d_model, d_model))
         self.wq, self.wk, self.wv = [], [], []
         for _ in range(n_heads):
             for ws in (self.wq, self.wk, self.wv):
-                ws.append(Tensor(glorot(rng, d_model, self.d_k, dtype), requires_grad=True))
-        self.wo = Tensor(glorot(rng, d_model, d_model, dtype), requires_grad=True)
+                ws.append(glorot(rng, new((d_model, self.d_k))))
+        glorot(rng, self.wo)
 
     def params(self) -> dict[str, Tensor]:
         out = {"wo": self.wo}
@@ -298,11 +325,12 @@ def multi_head_attention(
 class FeedForward:
     """Two-layer position-wise network with an inner ReLU."""
 
-    def __init__(self, rng: np.random.Generator | None, d_model: int, d_ff: int, dtype=np.float32):
-        self.w1 = Tensor(glorot(rng, d_model, d_ff, dtype), requires_grad=True)
-        self.b1 = Tensor(np.zeros(d_ff, dtype=dtype), requires_grad=True)
-        self.w2 = Tensor(glorot(rng, d_ff, d_model, dtype), requires_grad=True)
-        self.b2 = Tensor(np.zeros(d_model, dtype=dtype), requires_grad=True)
+    def __init__(self, rng: np.random.Generator | None, d_model: int, d_ff: int, dtype=np.float32, new=None):
+        new = new or new_parameters(dtype)
+        self.w1 = glorot(rng, new((d_model, d_ff)))
+        self.b1 = new((d_ff,))
+        self.w2 = glorot(rng, new((d_ff, d_model)))
+        self.b2 = new((d_model,))
 
     def params(self) -> dict[str, Tensor]:
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}

@@ -52,6 +52,7 @@ from .layers import (
     feed_forward,
     glorot,
     multi_head_attention,
+    new_parameters,
     positional_encoding,
     residual_layernorm,
 )
@@ -148,9 +149,10 @@ class ClusterBiasParams:
     """Per-head gate scalars for the two cluster bias terms, initialized to
     zero so the untrained bias vanishes identically."""
 
-    def __init__(self, heads: int, dtype):
-        self.gain_same = [Tensor(np.zeros((), dtype=dtype), requires_grad=True) for _ in range(heads)]
-        self.gain_affinity = [Tensor(np.zeros((), dtype=dtype), requires_grad=True) for _ in range(heads)]
+    def __init__(self, heads: int, dtype=np.float32, new=None):
+        new = new or new_parameters(dtype)
+        self.gain_same = [new(()) for _ in range(heads)]
+        self.gain_affinity = [new(()) for _ in range(heads)]
 
     def params(self) -> dict[str, Tensor]:
         out = {}
@@ -189,25 +191,25 @@ def _prefixed(**parts) -> dict[str, Tensor]:
 
 
 class EncoderLayer:
-    def __init__(self, rng, d_model, heads, d_ff, dtype):
-        self.attn = MultiHeadAttention(rng, d_model, heads, dtype)
-        self.ln1 = LayerNormParams(d_model, dtype)
-        self.ffn = FeedForward(rng, d_model, d_ff, dtype)
-        self.ln2 = LayerNormParams(d_model, dtype)
-        self.bias = ClusterBiasParams(heads, dtype)
+    def __init__(self, rng, d_model, heads, d_ff, new):
+        self.attn = MultiHeadAttention(rng, d_model, heads, new=new)
+        self.ln1 = LayerNormParams(d_model, new=new)
+        self.ffn = FeedForward(rng, d_model, d_ff, new=new)
+        self.ln2 = LayerNormParams(d_model, new=new)
+        self.bias = ClusterBiasParams(heads, new=new)
 
     def params(self) -> dict[str, Tensor]:
         return _prefixed(attn=self.attn, ln1=self.ln1, ffn=self.ffn, ln2=self.ln2, bias=self.bias)
 
 
 class DecoderLayer:
-    def __init__(self, rng, d_model, heads, d_ff, dtype):
-        self.self_attn = MultiHeadAttention(rng, d_model, heads, dtype)
-        self.ln1 = LayerNormParams(d_model, dtype)
-        self.cross_attn = MultiHeadAttention(rng, d_model, heads, dtype)
-        self.ln2 = LayerNormParams(d_model, dtype)
-        self.ffn = FeedForward(rng, d_model, d_ff, dtype)
-        self.ln3 = LayerNormParams(d_model, dtype)
+    def __init__(self, rng, d_model, heads, d_ff, new):
+        self.self_attn = MultiHeadAttention(rng, d_model, heads, new=new)
+        self.ln1 = LayerNormParams(d_model, new=new)
+        self.cross_attn = MultiHeadAttention(rng, d_model, heads, new=new)
+        self.ln2 = LayerNormParams(d_model, new=new)
+        self.ffn = FeedForward(rng, d_model, d_ff, new=new)
+        self.ln3 = LayerNormParams(d_model, new=new)
 
     def params(self) -> dict[str, Tensor]:
         return _prefixed(
@@ -246,9 +248,12 @@ def _check_mask(mask, ids: np.ndarray, what: str) -> np.ndarray:
 class KTransformer:
     """Encoder-decoder with the cluster-bias hook on encoder self-attention.
 
-    Weights are drawn from ``config.init_seed``; with ``draw_weights=False``
-    they are zeros instead, for a caller that overwrites them all (loading a
-    checkpoint)."""
+    The parameters are views of one flat buffer of ``config.parameter_count()``
+    elements, each made on its slice in ``parameters()`` order, which is a
+    checkpoint's order (``parameter_buffer``). Weights are drawn from
+    ``config.init_seed`` into their views; with ``draw_weights=False`` they
+    stay zeros, for a caller that overwrites them all (loading a checkpoint),
+    and the buffer is all that is allocated for the parameters."""
 
     def __init__(self, config: ModelConfig, draw_weights: bool = True):
         config.validate()
@@ -256,17 +261,15 @@ class KTransformer:
         dtype = dtype_of(config.precision)
         self.dtype = dtype
         rng = np.random.default_rng(config.init_seed) if draw_weights else None
-        self.src_embed = Tensor(glorot(rng, config.vocab_src, config.d_model, dtype), requires_grad=True)
-        self.tgt_embed = Tensor(glorot(rng, config.vocab_tgt, config.d_model, dtype), requires_grad=True)
+        new = new_parameters(dtype, config.parameter_count())
+        d = config.d_model
+        self.src_embed = glorot(rng, new((config.vocab_src, d)))
+        self.tgt_embed = glorot(rng, new((config.vocab_tgt, d)))
         # one extra row: decoder input is <BOS>-prefixed, so its width can be max_len + 1
-        self.pe = Tensor(positional_encoding(config.max_len + 1, config.d_model, dtype))
-        self.encoder = [
-            EncoderLayer(rng, config.d_model, config.heads, config.d_ff, dtype) for _ in range(config.layers_enc)
-        ]
-        self.decoder = [
-            DecoderLayer(rng, config.d_model, config.heads, config.d_ff, dtype) for _ in range(config.layers_dec)
-        ]
-        self.out_proj = Tensor(glorot(rng, config.d_model, config.vocab_tgt, dtype), requires_grad=True)
+        self.pe = Tensor(positional_encoding(config.max_len + 1, d, dtype))
+        self.encoder = [EncoderLayer(rng, d, config.heads, config.d_ff, new) for _ in range(config.layers_enc)]
+        self.decoder = [DecoderLayer(rng, d, config.heads, config.d_ff, new) for _ in range(config.layers_dec)]
+        self.out_proj = glorot(rng, new((d, config.vocab_tgt)))
 
     def parameters(self) -> dict[str, Tensor]:
         """All trainable tensors in a stable, checkpoint-defining order."""
@@ -274,6 +277,16 @@ class KTransformer:
         decoder = {f"dec{i}": layer for i, layer in enumerate(self.decoder)}
         embeds = {"src_embed": self.src_embed, "tgt_embed": self.tgt_embed}
         return embeds | _prefixed(**encoder, **decoder) | {"out_proj": self.out_proj}
+
+    def parameter_buffer(self) -> np.ndarray | None:
+        """The flat buffer whose consecutive views the parameters are, in
+        ``parameters()`` order and filling it, as built; None once one of
+        them is rebound (``trainer.AdamState`` moves them into its own)."""
+        views = [p.data for p in self.parameters().values()]
+        flat = views[0].base
+        if not all(v.base is flat and v.flags.c_contiguous for v in views):
+            return None
+        return flat if sum(v.size for v in views) == flat.size else None
 
     def _dropout_draws(
         self, rng: np.random.Generator | None, lead: tuple[int, ...], lengths: tuple[int, ...], rows: slice

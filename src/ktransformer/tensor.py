@@ -89,11 +89,11 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{flag})"
 
 
-def _wrap(arr: np.ndarray) -> Tensor:
+def _wrap(arr: np.ndarray, requires_grad: bool = False) -> Tensor:
     # Internal constructor: adopts arr without copying.
     t = Tensor.__new__(Tensor)
     t.data = arr
-    t.requires_grad = False
+    t.requires_grad = requires_grad
     t.grad = None
     return t
 

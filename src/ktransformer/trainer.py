@@ -20,6 +20,7 @@ host endianness.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import itertools
@@ -28,7 +29,10 @@ import math
 import mmap
 import os
 import signal
+import stat
 import struct
+import sys
+import threading
 import time
 import traceback
 from dataclasses import dataclass
@@ -106,9 +110,10 @@ class AdamState:
     ``m``, ``v`` and ``grad_views`` map names to views into them. The
     parameters and gradients are anonymous shared memory, which a forked
     process shares; from construction on each parameter's ``data`` is its
-    view in ``param_views``, holding the value it had. A split step's helper
-    writes its fold totals into ``flat_grads`` before ``adam_step`` fills it
-    (``_Helper``)."""
+    view in ``param_views``, holding the value it had: a model's parameters
+    are copied out of its own buffer (``KTransformer.parameter_buffer``),
+    which the model no longer uses. A split step's helper writes its fold
+    totals into ``flat_grads`` before ``adam_step`` fills it (``_Helper``)."""
 
     def __init__(self, params: dict[str, Tensor], lr: float = 3e-4):
         # lr 0 is allowed here and makes the update an identity; TrainConfig
@@ -171,7 +176,10 @@ def adam_step(params: dict[str, Tensor], state: AdamState, lr_scale: float = 1.0
     non-finite gradient rejects the whole step (raises before touching
     parameters or moments). ``lr_scale`` carries the warmup multiplier. Each
     element goes through the per-tensor update's operations in their order,
-    so the floats do not depend on the layout.
+    so the floats do not depend on the layout. A SIGINT that arrives from
+    the step counter's increment through the parameters' update is held
+    until the update is done (``_interrupt_held``), so its
+    ``KeyboardInterrupt`` leaves a whole step behind, never a torn one.
     """
     if params.keys() != state.param_views.keys():
         raise ValueError("parameter names do not match the optimizer state")
@@ -191,25 +199,50 @@ def adam_step(params: dict[str, Tensor], state: AdamState, lr_scale: float = 1.0
     if not np.isfinite(g).all():
         name = next(name for name, view in state.grad_views.items() if not np.isfinite(view).all())
         raise DivergenceError(f"non-finite gradient for {name!r}; step rejected")
-    state.t += 1
-    bc1 = 1.0 - ADAM_BETA1 ** state.t
-    bc2 = 1.0 - ADAM_BETA2 ** state.t
-    lr = state.lr * float(lr_scale)  # a numpy scalar would promote f32 parameters
-    m, v, s = state.flat_m, state.flat_v, np.empty_like(g)  # s: scratch, from what the step's tape freed
-    m *= ADAM_BETA1
-    m += np.multiply(g, 1.0 - ADAM_BETA1, out=s)
-    v *= ADAM_BETA2
-    np.multiply(g, g, out=s)
-    s *= 1.0 - ADAM_BETA2
-    v += s
-    # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), the gradient buffer holding the step
-    np.sqrt(np.divide(v, bc2, out=s), out=s)
-    s += ADAM_EPS
-    step = np.divide(m, bc1, out=g)
-    step *= lr
-    step /= s
-    state.flat_params -= step
+    with _interrupt_held():
+        state.t += 1
+        bc1 = 1.0 - ADAM_BETA1 ** state.t
+        bc2 = 1.0 - ADAM_BETA2 ** state.t
+        lr = state.lr * float(lr_scale)  # a numpy scalar would promote f32 parameters
+        m, v, s = state.flat_m, state.flat_v, np.empty_like(g)  # s: scratch, from what the step's tape freed
+        m *= ADAM_BETA1
+        m += np.multiply(g, 1.0 - ADAM_BETA1, out=s)
+        v *= ADAM_BETA2
+        np.multiply(g, g, out=s)
+        s *= 1.0 - ADAM_BETA2
+        v += s
+        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), the gradient buffer holding the step
+        np.sqrt(np.divide(v, bc2, out=s), out=s)
+        s += ADAM_EPS
+        step = np.divide(m, bc1, out=g)
+        step *= lr
+        step /= s
+        state.flat_params -= step
     return norm
+
+
+@contextlib.contextmanager
+def _interrupt_held():
+    """Hold a SIGINT that arrives inside the block until the block is done,
+    then raise it again, so that its ``KeyboardInterrupt`` cannot stop the
+    block halfway. The handler is swapped for one that records the signal:
+    a signal mask would not do, as the kernel hands a signal that the main
+    thread blocks to another thread, such as a BLAS worker, and Python then
+    runs its handler in the main thread all the same. Only the main thread
+    can set a handler; elsewhere, or where the handler in force was not set
+    from Python, the block runs as it is."""
+    previous = signal.getsignal(signal.SIGINT)
+    if threading.current_thread() is not threading.main_thread() or previous is None:
+        yield
+        return
+    caught = []
+    signal.signal(signal.SIGINT, lambda signum, frame: caught.append(signum))
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGINT, previous)
+        if caught:
+            signal.raise_signal(signal.SIGINT)
 
 
 def _dtype_code(dtype: np.dtype) -> str:
@@ -345,32 +378,43 @@ def _embedded_profile(manifest: dict, key: str) -> str | None:
     return profile
 
 
-def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
-    """Rebuild model, optimizer state, and vocabularies from a checkpoint.
+def _read_exactly(f, buf, path) -> None:
+    """Fill the writable, C-contiguous ``buf`` from the unbuffered file ``f``,
+    read after read, as one read may return less than asked for; a file that
+    ends first is truncated."""
+    view = memoryview(buf).cast("B")
+    got = 0
+    while got < len(view):
+        try:
+            n = f.readinto(view[got:])
+        except OSError as e:
+            raise CheckpointError(f"cannot read checkpoint {path}: {e}") from e
+        if not n:
+            raise CheckpointError(f"checkpoint {path} is truncated")
+        got += n
 
-    Checks what it has to interpret (the magic, format version, buffer hash,
-    model configuration, Adam step counter and learning rate, embedded
-    vocabularies and profiles), and the payload length the configuration
-    implies before it builds the model; then loads the file only if its
-    manifest equals the one ``save_checkpoint`` would write for what was
-    loaded, and only if every parameter and Adam moment is finite; any
-    truncation, corruption or mismatch is a ``CheckpointError``. The file is
-    read once; the payload is hashed and decoded through a view of those
-    bytes."""
-    try:
-        data = Path(path).read_bytes()
-    except OSError as e:
-        raise CheckpointError(f"cannot read checkpoint {path}: {e}") from e
+
+def _read_manifest(f, path) -> tuple[dict, int]:
+    """Read the magic, the manifest length and the manifest from the start of
+    the unbuffered file ``f`` and check them and the format version; returns
+    the manifest and the payload's length that the file's size leaves."""
+    info = os.fstat(f.fileno())
+    if not stat.S_ISREG(info.st_mode):  # a pipe's size says nothing of what it holds
+        raise CheckpointError(f"cannot read checkpoint {path}: not a regular file")
     header = len(CHECKPOINT_MAGIC) + 8
-    if len(data) < header:
+    if info.st_size < header:
         raise CheckpointError(f"checkpoint {path} is truncated")
-    if data[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
+    head = bytearray(header)
+    _read_exactly(f, head, path)
+    if head[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path} is not a checkpoint file (bad magic)")
-    (mlen,) = struct.unpack("<Q", data[len(CHECKPOINT_MAGIC) : header])
-    if header + mlen > len(data):
+    (mlen,) = struct.unpack("<Q", head[len(CHECKPOINT_MAGIC) :])
+    if header + mlen > info.st_size:
         raise CheckpointError(f"checkpoint {path} is truncated inside the manifest")
+    blob = bytearray(mlen)
+    _read_exactly(f, blob, path)
     try:
-        manifest = json.loads(data[header : header + mlen].decode("utf-8"))
+        manifest = json.loads(blob.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"unreadable checkpoint manifest: {e}") from e
     if not isinstance(manifest, dict):
@@ -380,37 +424,68 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
         raise CheckpointError(
             f"unsupported checkpoint format version {version!r}, expected {FORMAT_VERSION}"
         )
-    buffer = memoryview(data)[header + mlen :]  # hashed and decoded in place, not copied
-    buffer_sha256 = hashlib.sha256(buffer).hexdigest()
+    return manifest, info.st_size - header - mlen
+
+
+def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
+    """Rebuild model, optimizer state, and vocabularies from a checkpoint.
+
+    Reads the header and the manifest and checks what it has to interpret
+    (the magic, format version, model configuration, and the payload length
+    that the configuration implies against the file's size, before anything
+    is built; then the Adam step counter and learning rate). The payload is
+    then read straight into the buffers it stays in: the model's
+    (``KTransformer.parameter_buffer``), or, with Adam state,
+    ``AdamState.flat_params``, ``flat_m`` and ``flat_v``, and hashed there,
+    so a load holds it once. The file loads only if that hash and the
+    manifest equal what ``save_checkpoint`` would write for what was loaded,
+    and only if every parameter and Adam moment is finite; any truncation,
+    corruption or mismatch is a ``CheckpointError``."""
+    try:
+        f = open(path, "rb", buffering=0)
+    except OSError as e:
+        raise CheckpointError(f"cannot read checkpoint {path}: {e}") from e
+    with f:
+        manifest, payload = _read_manifest(f, path)
+        try:
+            config = ModelConfig.from_dict(manifest["model_config"])
+        except (KeyError, TypeError, ValueError) as e:
+            raise CheckpointError(f"invalid model configuration in checkpoint: {e}") from e
+        # checked before anything is built, so no configuration can allocate more than the file holds
+        adam = manifest.get("adam")
+        banks = 1 if adam is None else 3  # the parameters, then Adam's m and v
+        implied = config.parameter_count() * np.dtype(dtype_of(config.precision)).itemsize * banks
+        if implied != payload:
+            raise CheckpointError(f"checkpoint buffer holds {payload} bytes, its model configuration implies {implied}")
+        try:
+            model = KTransformer(config, draw_weights=False)
+        except MemoryError as e:  # only a real out-of-memory: the file's length bounds the model's size
+            raise CheckpointError(f"model configuration in checkpoint is too large to build: {e}") from e
+        params = model.parameters()
+        state = None
+        if adam is not None:
+            # exact types, as a bool is neither; a negative step would make a bias correction divide by zero
+            t, lr = (adam.get("t"), adam.get("lr")) if isinstance(adam, dict) else (None, None)
+            if not (type(t) is int and t >= 0 and type(lr) in (int, float)):
+                raise CheckpointError("malformed optimizer state in checkpoint manifest")
+            try:
+                state = AdamState(params, lr=lr)
+            except ValueError as e:
+                raise CheckpointError(f"invalid optimizer state in checkpoint: {e}") from e
+            state.t = t
+        # every buffer has the model's dtype (AdamState insists on one) and holds the parameters in order
+        buffers = [model.parameter_buffer()] if state is None else [state.flat_params, state.flat_m, state.flat_v]
+        digest = hashlib.sha256()
+        for buf in buffers:
+            _read_exactly(f, buf, path)
+            digest.update(buf)
+    buffer_sha256 = digest.hexdigest()
     if buffer_sha256 != manifest.get("buffer_sha256"):
         raise CheckpointError("checkpoint buffer integrity check failed")
+    if sys.byteorder != "little":  # the file's floats are little-endian
+        for buf in buffers:
+            buf.byteswap(inplace=True)
 
-    try:
-        config = ModelConfig.from_dict(manifest["model_config"])
-    except (KeyError, TypeError, ValueError) as e:
-        raise CheckpointError(f"invalid model configuration in checkpoint: {e}") from e
-    # checked before anything is built, so no configuration can allocate more than the file holds
-    banks = 1 if manifest.get("adam") is None else 3  # the parameters, then Adam's m and v
-    implied = config.parameter_count() * np.dtype(dtype_of(config.precision)).itemsize * banks
-    if implied != len(buffer):
-        raise CheckpointError(f"checkpoint buffer holds {len(buffer)} bytes, its model configuration implies {implied}")
-    try:
-        model = KTransformer(config, draw_weights=False)
-    except (MemoryError, ValueError) as e:  # numpy refuses arrays beyond the address space or index range
-        raise CheckpointError(f"model configuration in checkpoint is too large to build: {e}") from e
-    params = model.parameters()
-    state = None
-    adam = manifest.get("adam")
-    if adam is not None:
-        # exact types, as a bool is neither; a negative step would make a bias correction divide by zero
-        t, lr = (adam.get("t"), adam.get("lr")) if isinstance(adam, dict) else (None, None)
-        if not (type(t) is int and t >= 0 and type(lr) in (int, float)):
-            raise CheckpointError("malformed optimizer state in checkpoint manifest")
-        try:
-            state = AdamState(params, lr=lr)
-        except ValueError as e:
-            raise CheckpointError(f"invalid optimizer state in checkpoint: {e}") from e
-        state.t = t
     vocabs = [_embedded_vocab(manifest, key, getattr(config, key)) for key in ("vocab_src", "vocab_tgt")]
     profiles = [_embedded_profile(manifest, key) for key in ("profile_src", "profile_tgt")]
     loaded = LoadedCheckpoint(model, state, *vocabs, *profiles)
@@ -419,19 +494,12 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
         where = _first_difference(manifest, expected, "manifest")
         raise CheckpointError(f"checkpoint manifest is not what save_checkpoint writes for its contents: {where} differs")
 
-    layout = _layout(params, state)
-    # every buffer has the model's dtype (AdamState insists on one), so the file is one float array
-    values = np.frombuffer(buffer, dtype=_dtype_code(model.dtype))
-    finite = np.isfinite(values)
-    if not finite.all():
-        # the first non-finite value lies in the first buffer that holds one
-        ends = np.cumsum([arr.size for _, arr in layout])
-        name = layout[int(np.searchsorted(ends, np.argmin(finite), side="right"))][0]
-        raise CheckpointError(f"non-finite values in {name!r}")
-    offset = 0
-    for _, arr in layout:
-        arr[...] = values[offset : offset + arr.size].reshape(arr.shape)
-        offset += arr.size
+    for bank, buf in enumerate(buffers):
+        if not (np.isfinite(buf.min()) and np.isfinite(buf.max())):  # a NaN is both
+            # the first non-finite value lies in the first tensor that holds one
+            ends = np.cumsum([p.data.size for p in params.values()])
+            i = int(np.searchsorted(ends, np.argmin(np.isfinite(buf)), side="right"))
+            raise CheckpointError(f"non-finite values in {_layout(params, state)[bank * len(params) + i][0]!r}")
     return loaded
 
 

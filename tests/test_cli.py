@@ -530,6 +530,32 @@ def test_translate_non_finite_checkpoint_is_data_error(workdir, capsys):
     assert not out.exists()
 
 
+def test_translate_model_beyond_the_address_space_is_data_error(workdir, capsys, monkeypatch):
+    # a checkpoint whose model this process cannot allocate, though its file is whole
+    from ktransformer import trainer
+    from ktransformer.corpus import Vocabulary
+    from ktransformer.model import KTransformer, ModelConfig
+    from ktransformer.trainer import save_checkpoint
+
+    model = KTransformer(ModelConfig(vocab_src=8, vocab_tgt=8, d_model=8, heads=2, d_ff=16,
+                                     layers_enc=1, layers_dec=1, max_len=10))
+    vocab = Vocabulary(["a", "b", "c", "d"])
+    path = workdir / "m.ckpt"
+    save_checkpoint(model, path, vocab_src=vocab, vocab_tgt=vocab)
+
+    def refuse(config, draw_weights=True):
+        raise MemoryError("Unable to allocate")
+
+    monkeypatch.setattr(trainer, "KTransformer", refuse)
+    inp = workdir / "in.txt"
+    inp.write_text("a b\n", encoding="utf-8")
+    rc = main(["translate", "--checkpoint", str(path), "--input", str(inp), "--output", str(workdir / "o.txt")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_DATA
+    assert err.startswith("data error:") and "too large to build" in err and "Traceback" not in err, err
+    assert not (workdir / "o.txt").exists()
+
+
 def test_translate_past_positional_table_is_usage_error(workdir):
     from ktransformer.corpus import Vocabulary
     from ktransformer.model import KTransformer, ModelConfig

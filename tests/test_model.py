@@ -91,6 +91,32 @@ def test_parameter_count_is_the_built_models_size():
         assert cfg.parameter_count() == sum(p.data.size for p in built.values()), cfg
 
 
+@pytest.mark.parametrize("draw_weights", [True, False])
+def test_parameters_are_consecutive_views_of_one_buffer(draw_weights):
+    # in parameters() order, which a checkpoint's payload follows
+    cfg = small_config(heads=2, layers_enc=2, layers_dec=2)
+    model = KTransformer(cfg, draw_weights=draw_weights)
+    views = [p.data for p in model.parameters().values()]
+    flat = views[0].base
+    assert isinstance(flat, np.ndarray) and flat.ndim == 1 and flat.size == cfg.parameter_count()
+    offset = 0
+    for v in views:
+        assert v.base is flat and v.flags.c_contiguous
+        assert v.__array_interface__["data"][0] == flat.__array_interface__["data"][0] + offset * flat.itemsize
+        offset += v.size
+    assert offset == flat.size and model.parameter_buffer() is flat
+    # without drawing, only the layer-norm gains are nonzero: ones
+    gains = sum(p.data.size for n, p in model.parameters().items() if n.endswith(".gain"))
+    assert (np.count_nonzero(flat) > gains) == draw_weights
+    assert np.count_nonzero(flat == 1) >= gains
+
+
+def test_parameter_buffer_is_none_once_a_parameter_is_rebound():
+    model = KTransformer(small_config())
+    model.out_proj.data = model.out_proj.data.copy()
+    assert model.parameter_buffer() is None
+
+
 # ------------------------------------------------------------ cluster bias
 
 

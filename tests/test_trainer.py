@@ -5,8 +5,10 @@ import hashlib
 import json
 import math
 import os
+import signal
 import struct
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -550,6 +552,95 @@ def test_version_mismatch_detected(tmp_path):
         load_checkpoint(path)
 
 
+def test_payload_cut_after_a_valid_manifest_or_with_a_byte_appended_is_checkpoint_error(tmp_path):
+    model = tiny_model()
+    path = tmp_path / "p.ckpt"
+    save_checkpoint(model, path, state=AdamState(model.parameters()))
+    raw = path.read_bytes()
+    (mlen,) = struct.unpack("<Q", raw[8:16])
+    for edited in (raw[: 16 + mlen + 100], raw + b"\0"):
+        path.write_bytes(edited)
+        with pytest.raises(CheckpointError, match=f"buffer holds {len(edited) - 16 - mlen} bytes"):
+            load_checkpoint(path)
+
+
+def test_short_reads_fill_the_payload_and_a_file_that_ends_early_is_truncated(tmp_path, monkeypatch):
+    import ktransformer.trainer as trainer
+
+    model = tiny_model()
+    path = tmp_path / "r.ckpt"
+    save_checkpoint(model, path, state=AdamState(model.parameters()))
+    real_open = open
+    payload = path.stat().st_size - 16 - struct.unpack("<Q", path.read_bytes()[8:16])[0]
+
+    class Trickle:
+        # hands at most 7 bytes per read, and none past ``limit`` bytes
+        def __init__(self, f, limit):
+            self.f, self.left = f, limit
+
+        def readinto(self, view):
+            n = self.f.readinto(view[: min(7, len(view), self.left)])
+            self.left -= n
+            return n
+
+        def fileno(self):
+            return self.f.fileno()
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+    monkeypatch.setattr(trainer, "open", lambda p, *a, **k: Trickle(real_open(p, *a, **k), 10**9), raising=False)
+    loaded = load_checkpoint(path)
+    for name, p in model.parameters().items():
+        assert loaded.model.parameters()[name].data.tobytes() == p.data.tobytes(), name
+    # a file that fstat sees whole but whose reads end halfway through the payload
+    cut = path.stat().st_size - payload // 2
+    monkeypatch.setattr(trainer, "open", lambda p, *a, **k: Trickle(real_open(p, *a, **k), cut), raising=False)
+    with pytest.raises(CheckpointError, match="is truncated"):
+        load_checkpoint(path)
+
+
+def test_model_too_large_to_allocate_on_load_is_checkpoint_error(tmp_path, monkeypatch):
+    import ktransformer.trainer as trainer
+
+    path = tmp_path / "big.ckpt"
+    save_checkpoint(tiny_model(), path)
+
+    def refuse(config, draw_weights=True):
+        raise MemoryError("Unable to allocate")
+
+    monkeypatch.setattr(trainer, "KTransformer", refuse)
+    with pytest.raises(CheckpointError, match="too large to build"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_that_is_not_a_regular_file_is_checkpoint_error():
+    # a pipe or device has no size to check the payload's length against
+    with pytest.raises(CheckpointError, match="not a regular file"):
+        load_checkpoint(os.devnull)
+
+
+@pytest.mark.parametrize("with_state", [False, True])
+def test_load_holds_the_payload_once(tmp_path, with_state):
+    # the payload is read straight into the buffers it stays in, not into
+    # bytes that are then copied
+    model = tiny_model(vocab_src=400, vocab_tgt=400, d_model=16, d_ff=64)
+    path = tmp_path / "w.ckpt"
+    save_checkpoint(model, path, state=AdamState(model.parameters()) if with_state else None)
+    payload = model.config.parameter_count() * 8 * (3 if with_state else 1)
+    load_checkpoint(path)  # imports and caches warmed up
+    tracemalloc.start()
+    try:
+        load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * payload, peak / payload
+
+
 def test_values_written_little_endian_regardless_of_source_order(tmp_path):
     # simulate a big-endian producer: parameters held in swapped byte order
     # must serialize to the identical file
@@ -796,6 +887,33 @@ def test_train_interrupt_leaves_last_completed_step(tmp_path, monkeypatch):
     for name, p in loaded.model.parameters().items():
         assert p.data.tobytes() == model.parameters()[name].data.tobytes(), name
     assert len((tmp_path / "train_log.csv").read_text().splitlines()) == 1 + 2
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="sends a real SIGINT with os.kill")
+def test_train_sigint_during_the_update_lands_after_it(tmp_path, monkeypatch):
+    # a real SIGINT sent while step 3's update runs: the step completes, so
+    # final.ckpt is byte for byte the one of a clean 3-step run
+    import ktransformer.trainer as trainer
+
+    corpus, vs, vt, model, kw = _quick_setup(steps=3)
+    train(model, corpus, vs, vt, TrainConfig(out_dir=str(tmp_path / "clean"), **kw))
+    corpus, vs, vt, model, kw = _quick_setup(steps=8)
+    sqrt, updates = np.sqrt, []
+
+    def sqrt_then_interrupt(*args, **kwargs):
+        if sys._getframe(1).f_code is trainer.adam_step.__code__:
+            updates.append(1)
+            if len(updates) == 3:
+                os.kill(os.getpid(), signal.SIGINT)
+        return sqrt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "sqrt", sqrt_then_interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        train(model, corpus, vs, vt, TrainConfig(out_dir=str(tmp_path / "cut"), **kw))
+    monkeypatch.undo()
+    assert len(updates) == 3
+    assert signal.getsignal(signal.SIGINT) is signal.default_int_handler
+    assert (tmp_path / "cut" / "final.ckpt").read_bytes() == (tmp_path / "clean" / "final.ckpt").read_bytes()
 
 
 def test_train_builds_each_epoch_when_it_starts(tmp_path, monkeypatch):
