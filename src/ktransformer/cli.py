@@ -121,6 +121,9 @@ def cmd_train(args) -> int:
         raise ConfigError(f"val_fraction must be in [0, 1), got {cfg.val_fraction}")
     if cfg.val_interval > 0 and cfg.val_fraction == 0.0:
         raise ConfigError(f"val_interval = {cfg.val_interval} validates on no pairs with val_fraction = 0")
+    for key in ("profile_src", "profile_tgt"):  # a checkpoint with an unknown profile cannot translate
+        if getattr(cfg, key) not in PROFILES:
+            raise ConfigError(f"{key} must be one of {PROFILES}, got {getattr(cfg, key)!r}")
     train_config = cfg.to_train_config(out_dir)  # validated before anything is written
     vocab_src = Vocabulary.load(cfg.vocab_src)
     vocab_tgt = Vocabulary.load(cfg.vocab_tgt)

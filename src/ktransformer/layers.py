@@ -2,8 +2,9 @@
 with an additive score-bias hook, the position-wise feed-forward network,
 residual layer norm, and inverted dropout.
 
-Modules here are plain parameter containers plus pure functions; the wiring
-into an encoder-decoder lives in ``model``.
+Modules here are parameter containers, which name each parameter where they
+make it (``ParameterRecord``), plus pure functions; the wiring into an
+encoder-decoder lives in ``model``.
 
 Attention, feed-forward and residual layer norm are each one taped op: one
 tape entry per call. Their forwards are array functions here (``_attend``,
@@ -61,23 +62,45 @@ def positional_encoding(max_len: int, d_model: int, dtype=np.float32) -> np.ndar
     return table.astype(dtype)
 
 
-def new_parameters(dtype, size: int | None = None):
-    """``new(shape)``, which makes each new trainable tensor, zero-filled: on
-    a fresh array, or, given ``size``, on the next ``shape`` elements of one
-    buffer of ``size`` elements, which the tensor adopts as its ``data``
-    without a copy. Tensors made in ``params()`` order so lie in that buffer
-    back to back; it lives as long as one of them does."""
-    if size is None:
-        return lambda shape: _wrap(np.zeros(shape, dtype=dtype), requires_grad=True)
-    flat = np.zeros(size, dtype=dtype)
-    offset = 0
+class ParameterRecord:
+    """A module's trainable tensors by name, in the order made, which is the
+    order of ``params()`` and, given ``size``, of one buffer of ``size``
+    elements: ``new(name, shape)`` makes a zero-filled tensor on a fresh
+    array or on the buffer's next ``shape`` elements (adopted without a
+    copy) and records it. ``part(prefix)`` is a submodule's record on the
+    same buffer and names, where ``name`` is ``prefix.name``. No record
+    refers to itself, so a model's buffer is freed with its last reference,
+    not when the cycle collector runs."""
 
-    def new(shape: tuple[int, ...]) -> Tensor:
-        nonlocal offset
-        lo, offset = offset, offset + math.prod(shape)
-        return _wrap(flat[lo:offset].reshape(shape), requires_grad=True)
+    def __init__(self, dtype, size: int | None = None):
+        self._prefix, self._named = "", {}
+        self._zeros = lambda shape: np.zeros(shape, dtype=dtype)
+        if size is not None:
+            flat, offset = np.zeros(size, dtype=dtype), 0
 
-    return new
+            def zeros(shape):
+                nonlocal flat, offset
+                lo, offset = offset, offset + math.prod(shape)
+                data = flat[lo:offset].reshape(shape)
+                if offset == size:  # full: only the views hold it now, so rebinding them all frees it
+                    flat = None
+                return data
+
+            self._zeros = zeros
+
+    def __call__(self, name: str, shape: tuple[int, ...]) -> Tensor:
+        self._named[self._prefix + name] = tensor = _wrap(self._zeros(shape), requires_grad=True)
+        return tensor
+
+    def part(self, prefix: str) -> ParameterRecord:
+        part = object.__new__(ParameterRecord)
+        part._prefix, part._named, part._zeros = f"{self._prefix}{prefix}.", self._named, self._zeros
+        return part
+
+    def params(self) -> dict[str, Tensor]:
+        """A copy of the record: each tensor made, by name, in order."""
+        n = len(self._prefix)
+        return {name[n:]: t for name, t in self._named.items() if name.startswith(self._prefix)}
 
 
 def glorot(rng: np.random.Generator | None, w: Tensor) -> Tensor:
@@ -108,13 +131,11 @@ class LayerNormParams:
     """Learnable gain/shift for one layer-norm site."""
 
     def __init__(self, d_model: int, dtype=np.float32, new=None):
-        new = new or new_parameters(dtype)
-        self.gain = new((d_model,))
+        new = new or ParameterRecord(dtype)
+        self.params = new.params
+        self.gain = new("gain", (d_model,))
         self.gain.data[...] = 1
-        self.shift = new((d_model,))
-
-    def params(self) -> dict[str, Tensor]:
-        return {"gain": self.gain, "shift": self.shift}
+        self.shift = new("shift", (d_model,))
 
 
 def _residual_layernorm(x: np.ndarray, sublayer_out: np.ndarray, ln: LayerNormParams):
@@ -158,30 +179,25 @@ class MultiHeadAttention:
     """h heads of width d_k = d_model/h plus the output projection.
 
     ``wq``, ``wk`` and ``wv`` are lists with one (d_model, d_k) projection
-    per head: head i's W_i^Q is ``wq[i]``. They are drawn from ``rng`` head
-    by head (head 0's wq, wk, wv, then head 1's, ...), then ``wo``, and
-    ``params`` names them ``head{i}.wq`` and so on, after ``wo``, which is
-    also made first (``new``, see ``new_parameters``).
+    per head: head i's W_i^Q is ``wq[i]``, named ``head{i}.wq``. ``wo`` is
+    made first, where checkpoints have always held it, but drawn last: the
+    draws from ``rng`` go head by head (head 0's wq, wk, wv, then head 1's,
+    ...), then ``wo``.
     """
 
     def __init__(self, rng: np.random.Generator | None, d_model: int, n_heads: int, dtype=np.float32, new=None):
         if d_model % n_heads != 0:
             raise ValueError(f"d_model {d_model} not divisible by {n_heads} heads")
-        new = new or new_parameters(dtype)
+        new = new or ParameterRecord(dtype)
+        self.params = new.params
         self.n_heads = n_heads
         self.d_k = d_model // n_heads
-        self.wo = new((d_model, d_model))
+        self.wo = new("wo", (d_model, d_model))
         self.wq, self.wk, self.wv = [], [], []
-        for _ in range(n_heads):
-            for ws in (self.wq, self.wk, self.wv):
-                ws.append(glorot(rng, new((d_model, self.d_k))))
+        for i in range(n_heads):
+            for part, ws in (("wq", self.wq), ("wk", self.wk), ("wv", self.wv)):
+                ws.append(glorot(rng, new(f"head{i}.{part}", (d_model, self.d_k))))
         glorot(rng, self.wo)
-
-    def params(self) -> dict[str, Tensor]:
-        out = {"wo": self.wo}
-        for i in range(self.n_heads):
-            out |= {f"head{i}.wq": self.wq[i], f"head{i}.wk": self.wk[i], f"head{i}.wv": self.wv[i]}
-        return out
 
 
 def _heads_first(a: np.ndarray) -> np.ndarray:
@@ -326,14 +342,12 @@ class FeedForward:
     """Two-layer position-wise network with an inner ReLU."""
 
     def __init__(self, rng: np.random.Generator | None, d_model: int, d_ff: int, dtype=np.float32, new=None):
-        new = new or new_parameters(dtype)
-        self.w1 = glorot(rng, new((d_model, d_ff)))
-        self.b1 = new((d_ff,))
-        self.w2 = glorot(rng, new((d_ff, d_model)))
-        self.b2 = new((d_model,))
-
-    def params(self) -> dict[str, Tensor]:
-        return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
+        new = new or ParameterRecord(dtype)
+        self.params = new.params
+        self.w1 = glorot(rng, new("w1", (d_model, d_ff)))
+        self.b1 = new("b1", (d_ff,))
+        self.w2 = glorot(rng, new("w2", (d_ff, d_model)))
+        self.b2 = new("b2", (d_model,))
 
 
 def _feed_forward(ff: FeedForward, x: np.ndarray):

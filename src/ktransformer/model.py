@@ -45,6 +45,7 @@ from .layers import (
     FeedForward,
     LayerNormParams,
     MultiHeadAttention,
+    ParameterRecord,
     _attend,
     _feed_forward,
     _residual_layernorm,
@@ -52,7 +53,6 @@ from .layers import (
     feed_forward,
     glorot,
     multi_head_attention,
-    new_parameters,
     positional_encoding,
     residual_layernorm,
 )
@@ -150,17 +150,9 @@ class ClusterBiasParams:
     zero so the untrained bias vanishes identically."""
 
     def __init__(self, heads: int, dtype=np.float32, new=None):
-        new = new or new_parameters(dtype)
-        self.gain_same = [new(()) for _ in range(heads)]
-        self.gain_affinity = [new(()) for _ in range(heads)]
-
-    def params(self) -> dict[str, Tensor]:
-        out = {}
-        for h, g in enumerate(self.gain_same):
-            out[f"same{h}"] = g
-        for h, g in enumerate(self.gain_affinity):
-            out[f"aff{h}"] = g
-        return out
+        new = new or ParameterRecord(dtype)
+        self.gain_same = [new(f"same{h}", ()) for h in range(heads)]
+        self.gain_affinity = [new(f"aff{h}", ()) for h in range(heads)]
 
 
 def _batch_centroid_cosines(fit: ClusterBatch, emb: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -184,37 +176,23 @@ def _batch_centroid_cosines(fit: ClusterBatch, emb: np.ndarray, mask: np.ndarray
     return np.divide(dots, e_norm[:, None, :] * c_norm[:, :, None], out=cos, where=keep)
 
 
-def _prefixed(**parts) -> dict[str, Tensor]:
-    """Every part's ``params()`` in argument order, each name prefixed with
-    the part's keyword: ``"{prefix}.{name}"``."""
-    return {f"{prefix}.{name}": p for prefix, part in parts.items() for name, p in part.params().items()}
-
-
 class EncoderLayer:
     def __init__(self, rng, d_model, heads, d_ff, new):
-        self.attn = MultiHeadAttention(rng, d_model, heads, new=new)
-        self.ln1 = LayerNormParams(d_model, new=new)
-        self.ffn = FeedForward(rng, d_model, d_ff, new=new)
-        self.ln2 = LayerNormParams(d_model, new=new)
-        self.bias = ClusterBiasParams(heads, new=new)
-
-    def params(self) -> dict[str, Tensor]:
-        return _prefixed(attn=self.attn, ln1=self.ln1, ffn=self.ffn, ln2=self.ln2, bias=self.bias)
+        self.attn = MultiHeadAttention(rng, d_model, heads, new=new.part("attn"))
+        self.ln1 = LayerNormParams(d_model, new=new.part("ln1"))
+        self.ffn = FeedForward(rng, d_model, d_ff, new=new.part("ffn"))
+        self.ln2 = LayerNormParams(d_model, new=new.part("ln2"))
+        self.bias = ClusterBiasParams(heads, new=new.part("bias"))
 
 
 class DecoderLayer:
     def __init__(self, rng, d_model, heads, d_ff, new):
-        self.self_attn = MultiHeadAttention(rng, d_model, heads, new=new)
-        self.ln1 = LayerNormParams(d_model, new=new)
-        self.cross_attn = MultiHeadAttention(rng, d_model, heads, new=new)
-        self.ln2 = LayerNormParams(d_model, new=new)
-        self.ffn = FeedForward(rng, d_model, d_ff, new=new)
-        self.ln3 = LayerNormParams(d_model, new=new)
-
-    def params(self) -> dict[str, Tensor]:
-        return _prefixed(
-            self=self.self_attn, ln1=self.ln1, cross=self.cross_attn, ln2=self.ln2, ffn=self.ffn, ln3=self.ln3
-        )
+        self.self_attn = MultiHeadAttention(rng, d_model, heads, new=new.part("self"))
+        self.ln1 = LayerNormParams(d_model, new=new.part("ln1"))
+        self.cross_attn = MultiHeadAttention(rng, d_model, heads, new=new.part("cross"))
+        self.ln2 = LayerNormParams(d_model, new=new.part("ln2"))
+        self.ffn = FeedForward(rng, d_model, d_ff, new=new.part("ffn"))
+        self.ln3 = LayerNormParams(d_model, new=new.part("ln3"))
 
 
 def _check_ids(ids, vocab_size: int, what: str) -> np.ndarray:
@@ -248,12 +226,12 @@ def _check_mask(mask, ids: np.ndarray, what: str) -> np.ndarray:
 class KTransformer:
     """Encoder-decoder with the cluster-bias hook on encoder self-attention.
 
-    The parameters are views of one flat buffer of ``config.parameter_count()``
-    elements, each made on its slice in ``parameters()`` order, which is a
-    checkpoint's order (``parameter_buffer``). Weights are drawn from
-    ``config.init_seed`` into their views; with ``draw_weights=False`` they
-    stay zeros, for a caller that overwrites them all (loading a checkpoint),
-    and the buffer is all that is allocated for the parameters."""
+    Each parameter is named where it is made (``layers.ParameterRecord``), on
+    the next slice of one buffer of ``config.parameter_count()`` elements:
+    the order made is that of the buffer, ``parameters()`` and a checkpoint.
+    Weights are drawn from ``config.init_seed`` into their views; with
+    ``draw_weights=False`` they stay zeros, for a caller that overwrites them
+    all (loading a checkpoint), and the buffer is all that is allocated."""
 
     def __init__(self, config: ModelConfig, draw_weights: bool = True):
         config.validate()
@@ -261,27 +239,24 @@ class KTransformer:
         dtype = dtype_of(config.precision)
         self.dtype = dtype
         rng = np.random.default_rng(config.init_seed) if draw_weights else None
-        new = new_parameters(dtype, config.parameter_count())
-        d = config.d_model
-        self.src_embed = glorot(rng, new((config.vocab_src, d)))
-        self.tgt_embed = glorot(rng, new((config.vocab_tgt, d)))
+        self._record = new = ParameterRecord(dtype, config.parameter_count())
+        d, heads, d_ff = config.d_model, config.heads, config.d_ff
+        self.src_embed = glorot(rng, new("src_embed", (config.vocab_src, d)))
+        self.tgt_embed = glorot(rng, new("tgt_embed", (config.vocab_tgt, d)))
         # one extra row: decoder input is <BOS>-prefixed, so its width can be max_len + 1
         self.pe = Tensor(positional_encoding(config.max_len + 1, d, dtype))
-        self.encoder = [EncoderLayer(rng, d, config.heads, config.d_ff, new) for _ in range(config.layers_enc)]
-        self.decoder = [DecoderLayer(rng, d, config.heads, config.d_ff, new) for _ in range(config.layers_dec)]
-        self.out_proj = glorot(rng, new((d, config.vocab_tgt)))
+        self.encoder = [EncoderLayer(rng, d, heads, d_ff, new.part(f"enc{i}")) for i in range(config.layers_enc)]
+        self.decoder = [DecoderLayer(rng, d, heads, d_ff, new.part(f"dec{i}")) for i in range(config.layers_dec)]
+        self.out_proj = glorot(rng, new("out_proj", (d, config.vocab_tgt)))
 
     def parameters(self) -> dict[str, Tensor]:
-        """All trainable tensors in a stable, checkpoint-defining order."""
-        encoder = {f"enc{i}": layer for i, layer in enumerate(self.encoder)}
-        decoder = {f"dec{i}": layer for i, layer in enumerate(self.decoder)}
-        embeds = {"src_embed": self.src_embed, "tgt_embed": self.tgt_embed}
-        return embeds | _prefixed(**encoder, **decoder) | {"out_proj": self.out_proj}
+        """Every trainable tensor by name, in the order made: a checkpoint's."""
+        return self._record.params()
 
     def parameter_buffer(self) -> np.ndarray | None:
-        """The flat buffer whose consecutive views the parameters are, in
-        ``parameters()`` order and filling it, as built; None once one of
-        them is rebound (``trainer.AdamState`` moves them into its own)."""
+        """The flat buffer whose consecutive views the parameters are, in order
+        and filling it: the model's own, or ``trainer.AdamState.flat_params``
+        once that holds them; None while one is an array of its own."""
         views = [p.data for p in self.parameters().values()]
         flat = views[0].base
         if not all(v.base is flat and v.flags.c_contiguous for v in views):

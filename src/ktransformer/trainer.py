@@ -154,12 +154,14 @@ def clip_global_norm(flat: np.ndarray, bounds: list[int], cap: float) -> float:
     in place by cap/norm when its global L2 norm exceeds cap (a cap of 0
     disables clipping); returns the pre-clip norm, each tensor's float64 sum
     of squares taken over its own slice and added in order. Direction is
-    preserved: the result is a nonnegative multiple of the input."""
+    preserved: the result is a nonnegative multiple of the input, and a norm
+    that is not finite (a non-finite element, an overflow) leaves it as is."""
     total = 0.0
-    for lo, hi in zip(bounds, bounds[1:]):
-        total += float(np.square(flat[lo:hi], dtype=np.float64).sum())
+    with np.errstate(over="ignore"):  # an overflow is the infinite norm it gives
+        for lo, hi in zip(bounds, bounds[1:]):
+            total += float(np.square(flat[lo:hi], dtype=np.float64).sum())
     norm = math.sqrt(total)
-    if cap > 0 and norm > cap:
+    if 0 < cap < norm < math.inf:
         flat *= cap / norm
     return norm
 
@@ -173,12 +175,12 @@ def adam_step(params: dict[str, Tensor], state: AdamState, lr_scale: float = 1.0
     ``grad`` is copied into its slot of ``state.flat_grads`` (zeros where it
     is None), cast to the parameters' dtype, and reset to None. The buffer is
     then clipped to ``grad_clip`` (``clip_global_norm``; 0 disables it). Any
-    non-finite gradient rejects the whole step (raises before touching
-    parameters or moments). ``lr_scale`` carries the warmup multiplier. Each
-    element goes through the per-tensor update's operations in their order,
-    so the floats do not depend on the layout. A SIGINT that arrives from
-    the step counter's increment through the parameters' update is held
-    until the update is done (``_interrupt_held``), so its
+    non-finite gradient or pre-clip norm rejects the whole step (raises
+    before touching parameters or moments). ``lr_scale`` carries the warmup
+    multiplier. Each element goes through the per-tensor update's operations
+    in their order, so the floats do not depend on the layout. A SIGINT that
+    arrives from the step counter's increment through the parameters'
+    update is held until the update is done (``_interrupt_held``), so its
     ``KeyboardInterrupt`` leaves a whole step behind, never a torn one.
     """
     if params.keys() != state.param_views.keys():
@@ -196,9 +198,10 @@ def adam_step(params: dict[str, Tensor], state: AdamState, lr_scale: float = 1.0
         p.grad = None
     g = state.flat_grads
     norm = clip_global_norm(g, state.bounds, grad_clip)
-    if not np.isfinite(g).all():
-        name = next(name for name, view in state.grad_views.items() if not np.isfinite(view).all())
-        raise DivergenceError(f"non-finite gradient for {name!r}; step rejected")
+    if not (math.isfinite(norm) and np.isfinite(g).all()):
+        name = next((name for name, view in state.grad_views.items() if not np.isfinite(view).all()), None)
+        what = "gradient norm overflowed" if name is None else f"non-finite gradient for {name!r}"
+        raise DivergenceError(f"{what}; step rejected")
     with _interrupt_held():
         state.t += 1
         bc1 = 1.0 - ADAM_BETA1 ** state.t

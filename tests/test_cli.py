@@ -229,6 +229,19 @@ def test_train_val_fraction_out_of_range_is_usage_error(workdir, capsys, fractio
     assert not (workdir / "r").exists()
 
 
+@pytest.mark.parametrize("key", ["profile_src", "profile_tgt"])
+def test_train_unknown_profile_is_usage_error(workdir, capsys, key):
+    # a checkpoint naming an unknown profile could never be used to translate
+    prep = run_preprocess(workdir)
+    cfg = workdir / "run.cfg"
+    cfg.write_text(train_cfg_lines(prep, workdir / "r"), encoding="utf-8")
+    rc = main(["train", "--config", str(cfg), "--set", f"{key}=bogus_profile"])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert key in err and "bogus_profile" in err
+    assert not (workdir / "r").exists()
+
+
 def test_train_validation_without_val_fraction_is_usage_error(workdir, capsys):
     # validation with no share of the pairs to validate on is a contradiction,
     # not a reason to take a training pair anyway

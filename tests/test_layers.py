@@ -233,6 +233,15 @@ def test_multi_head_param_names_stable():
     ]
 
 
+def test_feed_forward_and_layer_norm_param_names_stable():
+    ff = FeedForward(np.random.default_rng(0), d_model=4, d_ff=6, dtype=np.float64)
+    assert list(ff.params()) == ["w1", "b1", "w2", "b2"]
+    assert [p.data.shape for p in ff.params().values()] == [(4, 6), (6,), (6, 4), (4,)]
+    ln = LayerNormParams(4, np.float64)
+    assert list(ln.params()) == ["gain", "shift"]
+    assert ln.params()["gain"] is ln.gain and ln.params()["shift"] is ln.shift
+
+
 def test_single_head_with_identity_weights_reduces_to_plain_attention():
     mha = MultiHeadAttention(np.random.default_rng(1), d_model=4, n_heads=1, dtype=np.float64)
     eye = np.eye(4)

@@ -117,6 +117,67 @@ def test_parameter_buffer_is_none_once_a_parameter_is_rebound():
     assert model.parameter_buffer() is None
 
 
+def test_parameter_buffer_is_adam_states_once_it_holds_the_parameters():
+    from ktransformer.trainer import AdamState
+
+    model = KTransformer(small_config())
+    state = AdamState(model.parameters())
+    assert model.parameter_buffer() is state.flat_params
+    model.tgt_embed.data = model.tgt_embed.data.copy()
+    assert model.parameter_buffer() is None
+
+
+def test_a_models_buffer_is_freed_with_its_last_view():
+    # nothing but the parameters' views may hold the buffer: a reference
+    # cycle would keep each dropped model's buffer until the cycle collector
+    # runs (repeated loads pile them up), and a reference from the model
+    # would keep it after Adam's state has taken the parameters over
+    import gc
+    import weakref
+
+    from ktransformer.trainer import AdamState
+
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        model = KTransformer(small_config(cluster_mode="both"))
+        buffer = weakref.ref(model.parameter_buffer())
+        del model
+        assert buffer() is None
+        model = KTransformer(small_config(cluster_mode="both"))
+        buffer = weakref.ref(model.parameter_buffer())
+        AdamState(model.parameters())
+        assert buffer() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_checkpoint_parameter_names_in_order():
+    # the names and order of a checkpoint's manifest and payload
+    assert list(KTransformer(small_config(cluster_mode="both")).parameters()) == [
+        "src_embed", "tgt_embed",
+        "enc0.attn.wo",
+        "enc0.attn.head0.wq", "enc0.attn.head0.wk", "enc0.attn.head0.wv",
+        "enc0.attn.head1.wq", "enc0.attn.head1.wk", "enc0.attn.head1.wv",
+        "enc0.ln1.gain", "enc0.ln1.shift",
+        "enc0.ffn.w1", "enc0.ffn.b1", "enc0.ffn.w2", "enc0.ffn.b2",
+        "enc0.ln2.gain", "enc0.ln2.shift",
+        "enc0.bias.same0", "enc0.bias.same1", "enc0.bias.aff0", "enc0.bias.aff1",
+        "dec0.self.wo",
+        "dec0.self.head0.wq", "dec0.self.head0.wk", "dec0.self.head0.wv",
+        "dec0.self.head1.wq", "dec0.self.head1.wk", "dec0.self.head1.wv",
+        "dec0.ln1.gain", "dec0.ln1.shift",
+        "dec0.cross.wo",
+        "dec0.cross.head0.wq", "dec0.cross.head0.wk", "dec0.cross.head0.wv",
+        "dec0.cross.head1.wq", "dec0.cross.head1.wk", "dec0.cross.head1.wv",
+        "dec0.ln2.gain", "dec0.ln2.shift",
+        "dec0.ffn.w1", "dec0.ffn.b1", "dec0.ffn.w2", "dec0.ffn.b2",
+        "dec0.ln3.gain", "dec0.ln3.shift",
+        "out_proj",
+    ]
+
+
 # ------------------------------------------------------------ cluster bias
 
 

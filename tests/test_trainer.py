@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ktransformer.model import KTransformer, ModelConfig
 from ktransformer.tensor import Tensor
@@ -158,6 +160,50 @@ def test_nonfinite_gradient_rejected_before_mutation():
         step_with(params, grads, state)
     assert state.t == 1
     assert {n: (p.data.tobytes(), state.m[n].tobytes(), state.v[n].tobytes()) for n, p in params.items()} == snapshot
+
+
+def _rejected_with_no_change(grads, match, grad_clip):
+    """A tiny model's second step with ``grads`` raises DivergenceError
+    matching ``match`` and changes no parameter, moment or step count."""
+    params = tiny_model().parameters()
+    state = AdamState(params, lr=0.01)
+    rng = np.random.default_rng(4)
+    step_with(params, {n: rng.normal(size=p.data.shape) for n, p in params.items()}, state, grad_clip=grad_clip)
+    snapshot = {n: (p.data.tobytes(), state.m[n].tobytes(), state.v[n].tobytes()) for n, p in params.items()}
+    with pytest.raises(DivergenceError, match=match):
+        step_with(params, grads(params), state, grad_clip=grad_clip)
+    assert state.t == 1
+    assert {n: (p.data.tobytes(), state.m[n].tobytes(), state.v[n].tobytes()) for n, p in params.items()} == snapshot
+
+
+def test_infinite_gradient_under_clipping_is_divergence_not_a_warning():
+    # clipping must not scale by cap/inf, whose inf * 0 is a NaN and a numpy warning
+    def grads(params):
+        out = {n: np.full(p.data.shape, 0.5) for n, p in params.items()}
+        out["enc0.ffn.w2"][1, 2] = np.inf
+        return out
+
+    _rejected_with_no_change(grads, "non-finite gradient for 'enc0.ffn.w2'", grad_clip=1.0)
+
+
+@pytest.mark.parametrize("grad_clip", [0.0, 1.0])
+def test_gradient_norm_overflow_rejects_the_step(grad_clip):
+    # every element finite, but their sum of squares overflows float64: a
+    # step clipped by cap/inf would zero the gradient and still decay m and v
+    def grads(params):
+        out = {n: np.full(p.data.shape, 0.5) for n, p in params.items()}
+        out["tgt_embed"][0, 0] = 1e200
+        return out
+
+    _rejected_with_no_change(grads, "gradient norm overflowed", grad_clip)
+
+
+def test_clip_leaves_a_non_finite_norm_unscaled():
+    # a sum of squares that overflows, then an infinite element
+    for values in ([1e200, 3.0], [np.inf, 1.0]):
+        flat = np.array(values)
+        assert clip_global_norm(flat, [0, 1, 2], 1.0) == math.inf
+        assert flat.tolist() == values
 
 
 def _clip_per_tensor(grads, cap):
@@ -621,6 +667,82 @@ def test_checkpoint_that_is_not_a_regular_file_is_checkpoint_error():
     # a pipe or device has no size to check the payload's length against
     with pytest.raises(CheckpointError, match="not a regular file"):
         load_checkpoint(os.devnull)
+
+
+# A sweep over damaged copies of one checkpoint: each must load or be a
+# CheckpointError, never another exception.
+_SWEEP = settings(derandomize=True, database=None, max_examples=250, deadline=None)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=6) | st.floats()
+    | st.integers(-(2**70), 2**70) | st.sampled_from([0, 1, -1, 2**31, 2**40, 2**63]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+@pytest.fixture(scope="module")
+def sweep_checkpoint(tmp_path_factory):
+    """(path to write damaged copies to, a checkpoint's bytes, its manifest length)."""
+    from ktransformer.corpus import Vocabulary
+
+    directory = tmp_path_factory.mktemp("sweep")
+    model = tiny_model(cluster_mode="both")
+    state = AdamState(model.parameters(), lr=0.01)
+    state.t = 3
+    words = ["a", "b", "c", "d", "e", "f"]
+    save_checkpoint(model, directory / "good.ckpt", state=state, vocab_src=Vocabulary(words),
+                    vocab_tgt=Vocabulary(words), profile_src="space_tokenized", profile_tgt="char_tokenized")
+    raw = (directory / "good.ckpt").read_bytes()
+    return directory / "damaged.ckpt", raw, struct.unpack("<Q", raw[8:16])[0]
+
+
+def _loads_or_checkpoint_error(path, raw: bytes) -> bool:
+    """Whether ``raw`` loads; any failure other than CheckpointError propagates."""
+    path.write_bytes(raw)
+    try:
+        load_checkpoint(path)
+    except CheckpointError:
+        return False
+    return True
+
+
+@_SWEEP
+@given(data=st.data())
+def test_sweep_single_manifest_field_edits_load_or_are_checkpoint_errors(sweep_checkpoint, data):
+    # one value replaced or removed anywhere in the manifest, the payload and its hash left valid
+    path, raw, mlen = sweep_checkpoint
+    manifest = json.loads(raw[16 : 16 + mlen])
+    node = manifest
+    while True:
+        key = data.draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        child = node[key]
+        if not isinstance(child, (dict, list)) or not child or data.draw(st.booleans()):
+            break
+        node = child
+    if data.draw(st.booleans()):
+        del node[key]
+    else:
+        node[key] = data.draw(_JSON)
+    blob = json.dumps(manifest, ensure_ascii=False, sort_keys=True).encode("utf-8")
+    _loads_or_checkpoint_error(path, raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + mlen :])
+
+
+@_SWEEP
+@given(data=st.data())
+def test_sweep_single_byte_flips_load_or_are_checkpoint_errors(sweep_checkpoint, data):
+    path, raw, mlen = sweep_checkpoint
+    lo, hi = data.draw(st.sampled_from([(0, 16), (16, 16 + mlen), (16 + mlen, len(raw))]))  # header, manifest, payload
+    at = data.draw(st.integers(lo, hi - 1))
+    damaged = bytearray(raw)
+    damaged[at] ^= data.draw(st.integers(1, 255))
+    _loads_or_checkpoint_error(path, bytes(damaged))
+
+
+@_SWEEP
+@given(data=st.data())
+def test_sweep_truncations_are_checkpoint_errors(sweep_checkpoint, data):
+    path, raw, _ = sweep_checkpoint
+    assert not _loads_or_checkpoint_error(path, raw[: data.draw(st.integers(0, len(raw) - 1))])
 
 
 @pytest.mark.parametrize("with_state", [False, True])
